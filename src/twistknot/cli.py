@@ -25,23 +25,14 @@ from .wirtinger import builtin_link_L, diagram_from_json, wirtinger_presentation
 MAX_COSETS_ENV = "TWISTKNOT_MAX_COSETS"
 
 
-def _default_max_cosets() -> int:
-    raw = os.environ.get(MAX_COSETS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_COSETS
-
-
 def _params(args: argparse.Namespace) -> TwistParams:
     return TwistParams(args.u, args.v)
 
 
-def _load_presentation(path: str) -> Presentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Presentation.from_json(json.load(fh))
-
-
 def _presentation_for(args: argparse.Namespace) -> Presentation:
     if getattr(args, "presentation", None):
-        return _load_presentation(args.presentation)
+        with open(args.presentation, "r", encoding="utf-8") as fh:
+            return Presentation.from_json(json.load(fh))
     model = closed_form(_params(args))
     if getattr(args, "p", None) is not None:
         slope = Slope(args.p, args.q)
@@ -226,7 +217,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.u is None or args.v is None:
             parser.error(f"{args.command} requires --u and --v or --presentation FILE")
     if args.command == "enumerate" and args.max_cosets is None:
-        args.max_cosets = _default_max_cosets()
+        raw = os.environ.get(MAX_COSETS_ENV)
+        try:
+            args.max_cosets = int(raw) if raw else DEFAULT_MAX_COSETS
+        except ValueError:
+            print(f"twistknot: {MAX_COSETS_ENV} must be an integer, got {raw!r}", file=sys.stderr)
+            return 2
     try:
         payload = args.handler(args)
     except (ValueError, RuntimeError, OSError, KeyError) as exc:

@@ -13,12 +13,13 @@ import hashlib
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .presentations import Presentation, PresentationError
-from .twisted_torus import KnotGroupModel
-from .criterion import Slope
 from .words import Word
+
+if TYPE_CHECKING:
+    from .twisted_torus import KnotGroupModel
 
 DEFAULT_MAX_COSETS = 10**6
 
@@ -56,8 +57,11 @@ class EnumerationResult:
         }
 
 
-def surgered_presentation(model: KnotGroupModel, slope: Slope, use: str = "paper") -> Presentation:
-    """Knot group presentation plus the filling relator ``meridian^p longitude^q``."""
+def surgered_presentation(model: KnotGroupModel, slope, use: str = "paper") -> Presentation:
+    """Knot group presentation plus the filling relator ``meridian^p longitude^q``.
+
+    ``slope`` is a ``criterion.Slope``; this layer does not import it.
+    """
     relator = model.meridian**slope.p * model.longitude(use) ** slope.q
     return Presentation(model.presentation.generators, model.presentation.relators + (relator,))
 

@@ -308,39 +308,31 @@ class CriterionReport:
         }
 
 
-def _family_form(model: KnotGroupModel, use: str) -> LongitudeForm:
-    """Longitude form of a family member.
+def _family_setup(
+    params: TwistParams, use: str
+) -> tuple[KnotGroupModel, Optional[ITShape], LongitudeForm]:
+    """Closed-form model, its first meridian-rooted shape, and its longitude form.
 
-    Positivity is judged on the block form of ``w`` (negative block exponent
-    exactly when u <= -2); for v >= 1 and u = -2 free reduction happens to
-    cancel the inverse letters, so the reduced word would be a weaker witness.
+    Only decompositions whose a-role is the meridian generator qualify, since
+    the criterion reads the longitude against that generator.  Positivity is
+    judged on the block form of ``w`` (negative block exponent exactly when
+    u <= -2); for v >= 1 and u = -2 free reduction happens to cancel the
+    inverse letters, so the reduced word would be a weaker witness.
     """
-    return LongitudeForm(
+    model = closed_form(params)
+    form = LongitudeForm(
         s=model.s_value(use), t=model.t, w=model.w, w_positive=model.w_blocks_positive
     )
-
-
-def _meridian_shapes(model: KnotGroupModel) -> list[ITShape]:
-    """Decompositions whose a-role is the meridian generator."""
     (meridian_gen, _), = model.meridian.runs
-    return [s for s in match_it_shape(model.presentation) if s.a == meridian_gen]
+    shapes = [s for s in match_it_shape(model.presentation) if s.a == meridian_gen]
+    return model, (shapes[0] if shapes else None), form
 
 
 def check_family_slope(
     params: TwistParams, slope: Slope, use: str = "paper"
 ) -> CriterionReport:
-    """Match the family member's relator and decide one slope.
-
-    Only decompositions rooted at the meridian generator qualify, since the
-    criterion reads the longitude against that generator.
-    """
-    if use not in ("paper", "corrected"):
-        raise CriterionError(f"longitude selector must be 'paper' or 'corrected', got {use!r}")
-    model = closed_form(params)
-    shapes = _meridian_shapes(model)
-    shape = shapes[0] if shapes else None
-    form = _family_form(model, use)
-    verdict = decide(shape, form, slope)
+    """Match the family member's relator and decide one slope."""
+    model, shape, form = _family_setup(params, use)
     a = model.presentation.generators[0]
     return CriterionReport(
         params=params,
@@ -357,23 +349,22 @@ def check_family_slope(
         w_positive_reduced=is_positive_excluding(
             model.w, model.w.generator_set() | {a}
         ),
-        verdict=verdict,
+        verdict=decide(shape, form, slope),
     )
 
 
 def minimal_integer_bound(params: TwistParams, use: str = "paper") -> int:
-    """Smallest integer slope certified non-left-orderable for this member."""
+    """Smallest integer slope certified non-left-orderable for this member.
+
+    The verdict is monotone in the slope, so the answer is the bound ``s + t``
+    itself whenever the criterion applies at all.
+    """
     if params.u <= -2:
         raise CriterionError(
             f"the longitude's block word is not positive for u = {params.u} <= -2"
         )
-    model = closed_form(params)
-    shapes = _meridian_shapes(model)
-    shape = shapes[0] if shapes else None
-    form = _family_form(model, use)
-    candidate = model.s_value(use) + model.t - 2
-    while decide(shape, form, Slope(candidate, 1)).kind != "GuaranteedNonLO":
-        candidate += 1
-        if candidate > model.s_value(use) + model.t + 2:
-            raise CriterionError("no certified integer slope found near the bound")
-    return candidate
+    _, shape, form = _family_setup(params, use)
+    bound = form.s + form.t
+    if decide(shape, form, Slope(bound, 1)).kind != "GuaranteedNonLO":
+        raise CriterionError("no certified integer slope found near the bound")
+    return bound

@@ -52,6 +52,10 @@ class Presentation:
 
     @staticmethod
     def from_json(data: Mapping) -> "Presentation":
+        if not isinstance(data, Mapping) or not all(
+            isinstance(data.get(key), list) for key in ("generators", "relators")
+        ):
+            raise PresentationError('a presentation needs "generators" and "relators" lists')
         gens = tuple(Generator(str(n)) for n in data["generators"])
         rels = tuple(Word.from_pairs(p) for p in data["relators"])
         return Presentation(gens, rels)

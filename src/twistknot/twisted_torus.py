@@ -1,10 +1,12 @@
 """The two-strand twisted torus knot family.
 
 ``closed_form`` builds the two-generator knot group model directly from the
-parametric templates; ``derive_from_diagram`` reproduces it from the built-in
-link by Wirtinger presentation, arc elimination, twist-region filling and two
-changes of generating set; ``verify_proof`` replays the derivation's displayed
-identities one by one and reports which hold.
+parametric templates.  ``derive_intermediates`` runs the derivation from the
+built-in link (Wirtinger presentation, arc elimination, twist-region filling
+and two changes of generating set) and names its intermediates without
+judging them.  ``derive_from_diagram`` turns them into the same model,
+raising at the first stage that fails; ``verify_proof`` checks them against
+the paper's stated forms and reports which hold.
 
 The second twist relator is stored verbatim as ``psi (alpha beta)^u`` while
 the change of generators substitutes ``psi -> (alpha beta)^u``, matching the
@@ -15,10 +17,11 @@ on the derived model rather than silently discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cache
 from typing import Mapping
 
-from .presentations import Presentation, class_in_h1
+from .presentations import Presentation, PresentationError, class_in_h1, tietze_eliminate
 from .wirtinger import (
     DELTA_ELIMINATIONS,
     builtin_link_L,
@@ -27,7 +30,6 @@ from .wirtinger import (
     wirtinger_presentation,
 )
 from .words import Generator, Word, is_conjugate, word
-from . import presentations
 
 
 class PipelineError(RuntimeError):
@@ -112,18 +114,15 @@ class SubstitutionChain:
 
     def validate(self) -> None:
         """Check the testable composite-identity directions by free reduction."""
-        for gen, image in self.stage1_forward.items():
-            got = image.substitute(self.stage1_backward)
-            if got != Word(((gen, 1),)):
-                raise ValueError(f"stage 1 does not invert on {gen.name}: {got.as_text()}")
-        for gen, image in self.stage2_forward.items():
-            got = image.substitute(self.stage2_backward)
-            if got != Word(((gen, 1),)):
-                raise ValueError(f"stage 2 does not invert on {gen.name}: {got.as_text()}")
-        for gen, image in self.stage2_backward.items():
-            got = image.substitute(self.stage2_forward)
-            if got != Word(((gen, 1),)):
-                raise ValueError(f"stage 2 reverse does not invert on {gen.name}")
+        for label, there, back in (
+            ("stage 1", self.stage1_forward, self.stage1_backward),
+            ("stage 2", self.stage2_forward, self.stage2_backward),
+            ("stage 2 reverse", self.stage2_backward, self.stage2_forward),
+        ):
+            for gen, image in there.items():
+                got = image.substitute(back)
+                if got != Word(((gen, 1),)):
+                    raise ValueError(f"{label} does not invert on {gen.name}: {got.as_text()}")
 
 
 def substitution_chain(params: TwistParams) -> SubstitutionChain:
@@ -172,14 +171,10 @@ class KnotGroupModel:
     twist_residue: Word = field(default_factory=Word)
 
     def longitude(self, use: str) -> Word:
-        if use == "paper":
-            return self.longitude_paper
-        if use == "corrected":
-            return self.longitude_corrected
-        raise ValueError(f"longitude selector must be 'paper' or 'corrected', got {use!r}")
+        return self.longitude_paper if _selects_paper(use) else self.longitude_corrected
 
     def s_value(self, use: str) -> int:
-        return self.s_paper if use == "paper" else self.s_corrected
+        return self.s_paper if _selects_paper(use) else self.s_corrected
 
     def to_json(self) -> dict:
         return {
@@ -205,6 +200,13 @@ class KnotGroupModel:
                 "w": self.w.as_text(),
             },
         }
+
+
+def _selects_paper(use: str) -> bool:
+    """The one check of a longitude selector: ``"paper"`` or ``"corrected"``."""
+    if use not in ("paper", "corrected"):
+        raise ValueError(f"longitude selector must be 'paper' or 'corrected', got {use!r}")
+    return use == "paper"
 
 
 def _assemble_model(
@@ -255,79 +257,99 @@ def closed_form(params: TwistParams) -> KnotGroupModel:
     return _assemble_model(params, presentation, longitude_paper, precorrection, derived=False)
 
 
-def _stage1_images(params: TwistParams):
-    """Run the pipeline through the first change of generators.
+@cache
+def _link_prefix() -> tuple[Presentation, Word]:
+    """The part of the derivation that does not depend on ``(u, v)``.
 
-    Returns ``(chain, images, longitude_word)`` where ``images`` are the
-    stage-1 images of the seven relators of the filled link presentation, in
-    stored order, and ``longitude_word`` is the diagram longitude of the
-    strand component in the five link-group generators.
+    Returns the built-in link's Wirtinger presentation with the seven delta
+    arcs eliminated, and the diagram longitude of the strand component ``l0``
+    in the five remaining generators.  Computed on first use, then shared;
+    both values are immutable.
     """
     diagram = builtin_link_L()
-    p12 = wirtinger_presentation(diagram)
-    p = p12
+    p = wirtinger_presentation(diagram)
     try:
         for name, defining in DELTA_ELIMINATIONS:
-            p = presentations.tietze_eliminate(p, Generator(name), defining)
-    except presentations.PresentationError as exc:
+            p = tietze_eliminate(p, Generator(name), defining)
+    except PresentationError as exc:
         raise PipelineError("eliminate-deltas", str(exc)) from exc
+    return p, peripheral_system(diagram, "l0").longitude
+
+
+@dataclass(frozen=True)
+class Derivation:
+    """Named intermediates of the derivation for one member.
+
+    Computing them makes no judgement: ``derive_from_diagram`` raises at the
+    first stage that fails, ``verify_proof`` compares them against the
+    paper's stated forms.
+    """
+
+    chain: SubstitutionChain
+    #: stage-1 images of the seven relators of the filled link presentation:
+    #: five link relators, then the two twist fillings; 2 and 3 are the two
+    #: surviving equations, 6 is the twist residue
+    images: tuple[Word, ...]
+    relator_gh: Word
+    relator_ab: Word
+    meridian_ab: Word
+    long_ab: Word
+    longitude_paper: Word
+
+
+def derive_intermediates(params: TwistParams) -> Derivation:
+    """Run the derivation from the built-in link for one parameter pair."""
+    prefix, l0 = _link_prefix()
     try:
-        p7 = add_twist_relations(p, params.u, params.v)
-    except presentations.PresentationError as exc:
+        filled = add_twist_relations(prefix, params.u, params.v)
+    except PresentationError as exc:
         raise PipelineError("add-twist-relations", str(exc)) from exc
     chain = substitution_chain(params)
-    try:
-        chain.validate()
-    except ValueError as exc:
-        raise PipelineError("change-generators", str(exc)) from exc
-    images = [rel.substitute(chain.stage1_backward) for rel in p7.relators]
-    longitude_word = peripheral_system(diagram, "l0").longitude
-    return chain, images, longitude_word
+    phi1, phi2 = chain.stage1_backward, chain.stage2_backward
+    images = tuple(rel.substitute(phi1) for rel in filled.relators)
+    relator_gh = images[2].inverse()
+    # the strand component's first arc alpha is its meridian
+    meridian_ab = phi1[_ALPHA].substitute(phi2)
+    long_ab = l0.substitute(phi1).substitute(phi2)
+    # rebase: move the leading (ba)^(v+1) block to the end, then add the
+    # meridian corrections a^-1 and a^(-3(3v+2)-2u)
+    block = _BA ** (params.v + 1)
+    a = word(("a", 1))
+    longitude_paper = a ** (-(3 * (3 * params.v + 2) + 2 * params.u)) * (
+        a ** (-1) * (block.inverse() * long_ab * block)
+    )
+    return Derivation(
+        chain, images, relator_gh, relator_gh.substitute(phi2), meridian_ab, long_ab,
+        longitude_paper,
+    )
 
 
 def derive_from_diagram(params: TwistParams) -> KnotGroupModel:
     """Derive the knot group model from the built-in link diagram."""
-    chain, images, longitude_word = _stage1_images(params)
-    # relators 0..4 are the simplified link relators; 5 and 6 the twist fillings
+    d = derive_intermediates(params)
+    try:
+        d.chain.validate()
+    except ValueError as exc:
+        raise PipelineError("change-generators", str(exc)) from exc
     for idx in (0, 1, 4, 5):
-        if not images[idx].is_identity:
+        if not d.images[idx].is_identity:
             raise PipelineError(
                 "change-generators",
-                f"relator {idx + 1} should map to the identity, got {images[idx].as_text()}",
+                f"relator {idx + 1} should map to the identity, got {d.images[idx].as_text()}",
             )
-    eq1, eq2 = images[2], images[3]
-    if not is_conjugate(eq1, eq2.inverse()):
+    if not is_conjugate(d.images[2], d.images[3].inverse()):
         raise PipelineError(
             "change-generators", "surviving relators are not inverse-equivalent"
         )
-    residue = images[6]
-    relator_gh = eq1.inverse()
-    relator_ab = relator_gh.substitute(chain.stage2_backward)
-    presentation = Presentation((_A, _B), (relator_ab,))
-
-    # meridian: the strand component's first arc maps to a conjugate of a
-    meridian_ab = chain.stage1_backward[_ALPHA].substitute(chain.stage2_backward)
-    if not is_conjugate(meridian_ab, word(("a", 1))):
+    if not is_conjugate(d.meridian_ab, word(("a", 1))):
         raise PipelineError("two-generator", "meridian image is not conjugate to a")
-
-    long_ab = longitude_word.substitute(chain.stage1_backward).substitute(
-        chain.stage2_backward
-    )
-    # rebase: move the leading (ba)^(v+1) block to the end, then add the
-    # meridian corrections a^-1 and a^(-3(3v+2)-2u)
-    block = _BA ** (params.v + 1)
-    rotated = block.inverse() * long_ab * block
-    a = word(("a", 1))
-    longitude_paper = a ** (-(3 * (3 * params.v + 2) + 2 * params.u)) * (
-        a ** (-1) * rotated
-    )
     return _assemble_model(
         params,
-        presentation,
-        longitude_paper,
-        long_ab,
+        Presentation((_A, _B), (d.relator_ab,)),
+        d.longitude_paper,
+        d.long_ab,
         derived=True,
-        twist_residue=residue,
+        twist_residue=d.images[6],
     )
 
 
@@ -342,12 +364,7 @@ class ProofCheck:
     details: dict
 
     def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -371,57 +388,37 @@ class ProofReport:
         }
 
 
-def _simplified_link_relators() -> tuple[Word, ...]:
-    def w(text: str) -> Word:
-        pairs = []
-        for token in text.split():
-            name, _, exp = token.partition("^")
-            pairs.append((name, int(exp) if exp else 1))
-        return word(*pairs)
-
-    return (
-        w("xi^-1 gamma^-1 beta^-1 alpha^-1 xi alpha beta gamma"),
-        w("xi^-1 alpha xi gamma^-1"),
-        w("psi^-1 gamma xi^-1 beta xi gamma^-1 psi alpha^-1"),
-        w("psi^-1 gamma xi^-1 gamma xi gamma^-1 psi beta^-1"),
-        w("psi^-1 beta^-1 alpha^-1 psi alpha beta"),
-    )
-
-
-SIMPLIFIED_LINK_RELATORS = _simplified_link_relators()
-
-
 def verify_proof(params: TwistParams) -> ProofReport:
-    """Replay the derivation's displayed identities for one parameter pair.
+    """Check the derivation's intermediates against the paper's stated forms.
 
-    Checks 1-8 verify the algebra of the derivation; check 9 measures the
-    abelianization class of the final longitude, which must be 0 for a
-    preferred longitude but comes out as ``2u`` under the stated meridian
-    correction.  Failures are data, not errors.
+    Checks 1-5 concern the stage-1 images of the link relators, check 6 the
+    two-generator relator, checks 7-8 the longitude before and after its
+    rebase; the stated forms of checks 6-9 are those of ``closed_form``.
+    Check 9 measures the abelianization class of the final longitude, which
+    must be 0 for a preferred longitude but comes out as ``2u`` under the
+    stated meridian correction.  Failures are data, not errors.
     """
     u, v = params.u, params.v
-    chain = substitution_chain(params)
-    phi1 = chain.stage1_backward
-    phi2 = chain.stage2_backward
+    d = derive_intermediates(params)
+    stated = closed_form(params)
+    phi1 = d.chain.stage1_backward
     g = word(("g", 1))
     h = word(("h", 1))
-    a = word(("a", 1))
-    b = word(("b", 1))
     hvg = h ** (-v) * g
-    r1, r2, r3, r4, r5 = SIMPLIFIED_LINK_RELATORS
     checks: list[ProofCheck] = []
 
     def add(name: str, passed: bool, **details) -> None:
         checks.append(ProofCheck(len(checks) + 1, name, bool(passed), details))
 
-    img1 = r1.substitute(phi1)
-    add("relator-1-maps-to-identity", img1.is_identity, image=img1.as_text())
+    def psi_rotated(image: Word, letter: str) -> Word:
+        # the paper displays link relators 3 and 4 rotated to start at psi^-1
+        # and conjugated by psi; both are stored starting with psi letter^-1
+        return image.conjugate(word(("psi", 1), (letter, 1), ("psi", -1)).substitute(phi1))
 
-    img2 = r2.substitute(phi1)
+    img1, img2, eq1, eq2, img5 = d.images[:5]
+    add("relator-1-maps-to-identity", img1.is_identity, image=img1.as_text())
     add("relator-2-maps-to-identity", img2.is_identity, image=img2.as_text())
 
-    rot_r3 = r3.conjugate(word(("psi", 1)))
-    eq1 = rot_r3.substitute(phi1)
     stated_eq1 = (
         h ** (-v - 1) * g**2 * hvg ** (u - 1) * h ** (-v) * g**2
         * h ** (-v - 1) * hvg.inverse() ** (u - 1) * g.inverse()
@@ -429,60 +426,41 @@ def verify_proof(params: TwistParams) -> ProofReport:
     add(
         "equation-1-matches-stated-rewrite",
         is_conjugate(eq1, stated_eq1),
-        equation_1=eq1.as_text(),
+        equation_1=psi_rotated(eq1, "alpha").as_text(),
         stated=stated_eq1.as_text(),
     )
-
-    rot_r4 = r4.conjugate(word(("psi", 1)))
-    eq2 = rot_r4.substitute(phi1)
     add(
         "equation-1-inverse-equivalent-to-equation-2",
         is_conjugate(eq1, eq2.inverse()),
-        equation_2=eq2.as_text(),
+        equation_2=psi_rotated(eq2, "beta").as_text(),
     )
-
-    img5 = r5.substitute(phi1)
     add("relator-5-maps-to-identity", img5.is_identity, image=img5.as_text())
 
     second_form = (
         h ** (v + 1) * g.inverse() * hvg ** (-u) * g ** (-2)
         * h ** (2 * v + 1) * hvg**u
     )
-    final_ab = second_form.substitute(phi2)
-    template = relator_template(params)
+    final_ab = second_form.substitute(d.chain.stage2_backward)
+    template = stated.presentation.relators[0]
     add(
         "final-relator-equals-template",
-        is_conjugate(second_form, eq1.inverse()) and final_ab == template,
+        is_conjugate(second_form, d.relator_gh) and final_ab == template,
         final=final_ab.as_text(),
         template=template.as_text(),
     )
-
-    diagram = builtin_link_L()
-    long_word = peripheral_system(diagram, "l0").longitude
-    long_ab = long_word.substitute(phi1).substitute(phi2)
-    block = _BA**v * b ** (u + 1)
-    stated_longitude = _BA ** (v + 1) * block * block
     add(
         "longitude-word-matches",
-        long_ab == stated_longitude,
-        longitude=long_ab.as_text(),
-        stated=stated_longitude.as_text(),
+        d.long_ab == stated.longitude_precorrection,
+        longitude=d.long_ab.as_text(),
+        stated=stated.longitude_precorrection.as_text(),
     )
-
-    lead = _BA ** (v + 1)
-    rotated = lead.inverse() * long_ab * lead
-    replayed = a ** (-(3 * (3 * v + 2) + 2 * u)) * (a ** (-1) * rotated)
-    s_p = s_paper_value(params)
-    stated_final = a ** (-s_p) * w_template(params) * a
     add(
         "meridian-correction-gives-stated-form",
-        replayed == stated_final,
-        replayed=replayed.as_text(),
-        s_paper=s_p,
+        d.longitude_paper == stated.longitude_paper,
+        replayed=d.longitude_paper.as_text(),
+        s_paper=stated.s_paper,
     )
-
-    presentation = Presentation((_A, _B), (template,))
-    measured = class_in_h1(presentation, stated_final)[0]
+    measured = stated.s_corrected - stated.s_paper
     add(
         "longitude-nullhomology",
         measured == 0,

@@ -175,28 +175,16 @@ def peripheral_system(d: LinkDiagram, component: int | str) -> PeripheralSystem:
 # -- the built-in link -------------------------------------------------------
 
 
-def _w(text: str) -> Word:
-    """Tiny builder: ``"psi alpha^-1"`` -> Word."""
-    pairs = []
-    for token in text.split():
-        if "^" in token:
-            name, exp = token.split("^")
-            pairs.append((name, int(exp)))
-        else:
-            pairs.append((token, 1))
-    return word(*pairs)
-
-
 #: Ordered defining words consumed when erasing the redundant arc generators
 #: delta1..delta7 from the built-in link's Wirtinger presentation.
 DELTA_ELIMINATIONS: tuple[tuple[str, Word], ...] = (
-    ("delta1", _w("alpha^-1 xi alpha")),
-    ("delta2", _w("gamma xi gamma^-1")),
-    ("delta3", _w("xi^-1 beta xi")),
-    ("delta4", _w("xi^-1 gamma xi")),
-    ("delta5", _w("psi alpha psi^-1")),
-    ("delta6", _w("psi beta psi^-1")),
-    ("delta7", _w("psi alpha^-1 psi alpha psi^-1")),
+    ("delta1", Word.parse("alpha^-1 xi alpha")),
+    ("delta2", Word.parse("gamma xi gamma^-1")),
+    ("delta3", Word.parse("xi^-1 beta xi")),
+    ("delta4", Word.parse("xi^-1 gamma xi")),
+    ("delta5", Word.parse("psi alpha psi^-1")),
+    ("delta6", Word.parse("psi beta psi^-1")),
+    ("delta7", Word.parse("psi alpha^-1 psi alpha psi^-1")),
 )
 
 
@@ -259,6 +247,9 @@ def add_twist_relations(p: Presentation, u: int, v: int) -> Presentation:
 # -- serialization -----------------------------------------------------------
 
 
+_CROSSING_KEYS = {"id", "over", "under_in", "under_out", "sign"}
+
+
 def diagram_to_json(d: LinkDiagram) -> dict:
     return {
         "arcs": list(d.arcs),
@@ -279,23 +270,30 @@ def diagram_to_json(d: LinkDiagram) -> dict:
 
 
 def diagram_from_json(data: Mapping) -> LinkDiagram:
-    crossings = tuple(
-        Crossing(
-            id=str(c["id"]),
-            over=str(c["over"]),
-            under_in=str(c["under_in"]),
-            under_out=str(c["under_out"]),
-            sign=int(c["sign"]),
-            form=str(c.get("form", "in_first")),
-        )
-        for c in data["crossings"]
-    )
-    names = tuple(str(n) for n in data.get("component_names", ()))
+    """Inverse of ``diagram_to_json``; ``DiagramError`` on a malformed object."""
+    if not isinstance(data, Mapping):
+        raise DiagramError("diagram JSON must be an object")
+    arcs, components, crossings = (data.get(k) for k in ("arcs", "components", "crossings"))
+    names = data.get("component_names", [])
+    if not all(isinstance(x, list) for x in (arcs, components, crossings, names)) or not all(
+        isinstance(comp, list) for comp in components
+    ):
+        raise DiagramError("diagram JSON needs lists 'arcs', 'components' of lists and 'crossings'")
+    for c in crossings:
+        if not (isinstance(c, Mapping) and _CROSSING_KEYS <= c.keys() and isinstance(c["sign"], int)):
+            raise DiagramError("each crossing needs id, over, under_in, under_out and an integer sign")
     return LinkDiagram(
-        arcs=tuple(str(a) for a in data["arcs"]),
-        components=tuple(tuple(str(a) for a in comp) for comp in data["components"]),
-        crossings=crossings,
-        component_names=names,
+        arcs=tuple(str(a) for a in arcs),
+        components=tuple(tuple(str(a) for a in comp) for comp in components),
+        crossings=tuple(
+            Crossing(
+                *(str(c[key]) for key in ("id", "over", "under_in", "under_out")),
+                sign=c["sign"],
+                form=str(c.get("form", "in_first")),
+            )
+            for c in crossings
+        ),
+        component_names=tuple(str(n) for n in names),
     )
 
 

@@ -53,11 +53,10 @@ def _reduce_runs(pairs: Iterable[tuple[Generator, int]]) -> tuple[tuple[Generato
 class Word:
     """A freely reduced word, the identity when empty."""
 
-    __slots__ = ("runs", "_hash")
+    __slots__ = ("runs",)
 
     def __init__(self, pairs: Iterable[tuple[Generator, int]] = ()) -> None:
         object.__setattr__(self, "runs", _reduce_runs(pairs))
-        object.__setattr__(self, "_hash", hash(self.runs))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Word is immutable")
@@ -68,7 +67,8 @@ class Word:
         return isinstance(other, Word) and self.runs == other.runs
 
     def __hash__(self) -> int:
-        return self._hash
+        # computed on demand: words are built far more often than hashed
+        return hash(self.runs)
 
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.runs)
@@ -160,7 +160,26 @@ class Word:
 
     @staticmethod
     def from_pairs(pairs: Sequence[Sequence]) -> "Word":
-        return Word((Generator(str(name)), int(exp)) for name, exp in pairs)
+        """Inverse of ``to_pairs``; ``ValueError`` on anything but ``[name, int]`` pairs."""
+        if not isinstance(pairs, list | tuple) or not all(
+            isinstance(p, list | tuple) and len(p) == 2 and type(p[1]) is int for p in pairs
+        ):
+            raise ValueError("a word must be a list of [generator, integer exponent] pairs")
+        return Word((Generator(str(name)), exp) for name, exp in pairs)
+
+    @staticmethod
+    def parse(text: str) -> "Word":
+        """Inverse of ``as_text``: ``"b a b^-2 a"`` -> Word, ``"1"`` -> identity."""
+        if text == "1":
+            return Word()
+        pairs = []
+        for token in text.split(" "):
+            name, caret, exp = token.partition("^")
+            try:
+                pairs.append((Generator(name), int(exp) if caret else 1))
+            except ValueError:
+                raise ValueError(f"malformed word text {text!r}") from None
+        return Word(pairs)
 
 
 def word(*pairs: tuple[str | Generator, int]) -> Word:

@@ -211,3 +211,42 @@ def test_wirtinger_minimal_schema_diagram(tmp_path, capsys):
     data = json.loads(out)
     assert data["generators"] == ["x", "y", "z"]
     assert data["relators"][0] == [["x", 1], ["z", 1], ["y", -1], ["z", -1]]
+
+
+def _one_line_error(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_non_integer_coset_budget_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("TWISTKNOT_MAX_COSETS", "abc")
+    argv = ["enumerate", "--u", "0", "--v", "0", "--p", "5", "--q", "1"]
+    _one_line_error(capsys, argv, 2)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{"generators": ["a"], "relators": 5}, {"generators": ["a"], "relators": [1, 2]}, [1, 2]],
+)
+def test_malformed_presentation_file_exits_1(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    _one_line_error(capsys, ["h1", "--presentation", str(path)], 1)
+
+
+def test_malformed_diagram_file_exits_1(tmp_path, capsys):
+    data = diagram_to_json(builtin_link_L())
+    data["crossings"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    _one_line_error(capsys, ["wirtinger", "--diagram", str(path)], 1)
+
+
+def test_verify_proof_displays_psi_rotated_equations(capsys):
+    code, out, _ = run(capsys, "verify-proof", "--u", "2", "--v", "1")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks[2]["details"]["equation_1"] == "h^-3 g^2 h^-1 g h^-1 g^2 h^-2 g^-1 h g^-1 h"
+    assert checks[3]["details"]["equation_2"] == "g^-2 h^2 g h^-1 g h^2 g^-2 h g^-1 h"

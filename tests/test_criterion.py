@@ -257,3 +257,20 @@ def test_report_json_shape():
     assert data["verdict"] == {"kind": "GuaranteedNonLO", "reason": None}
     assert data["shape"] is not None
     assert data["shape"]["m"] >= 0 and data["shape"]["k"] >= 0
+
+
+def test_misspelled_longitude_selector_raises_everywhere():
+    from twistknot.coset_enum import surgered_presentation
+
+    params = TwistParams(1, 0)
+    model = closed_form(params)
+    for call in (
+        lambda: model.longitude("Paper"),
+        lambda: model.s_value("Paper"),
+        lambda: check_family_slope(params, Slope(20, 1), "Paper"),
+        lambda: minimal_integer_bound(params, "Paper"),
+        lambda: surgered_presentation(model, Slope(20, 1), "Paper"),
+    ):
+        with pytest.raises(ValueError, match="longitude selector"):
+            call()
+

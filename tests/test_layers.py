@@ -1,0 +1,55 @@
+"""The package's modules import each other in one direction only."""
+
+import ast
+from pathlib import Path
+
+import twistknot
+
+PACKAGE = Path(twistknot.__file__).parent
+
+#: Lower rank first; a module may import only modules of lower rank, so
+#: criterion and coset_enum, which share a rank, never import each other.
+#: The package facade ``__init__`` re-exports the library layers and sits
+#: under the command line, which reads ``__version__`` from it.
+RANK = {
+    "words": 0,
+    "presentations": 1,
+    "wirtinger": 2,
+    "twisted_torus": 3,
+    "criterion": 4,
+    "coset_enum": 4,
+    "__init__": 5,
+    "cli": 6,
+    "__main__": 7,
+}
+
+
+def _package_imports(tree: ast.Module):
+    """Names of the package modules imported anywhere in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                for alias in node.names:
+                    yield alias.name if alias.name in RANK else "__init__"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("twistknot"):
+            yield (node.module.split(".") + ["__init__"])[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("twistknot"):
+                    yield (alias.name.split(".") + ["__init__"])[1]
+
+
+def test_every_module_is_ranked():
+    assert {path.stem for path in PACKAGE.glob("*.py")} == set(RANK)
+
+
+def test_imports_go_down_the_layers():
+    upward = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for target in _package_imports(tree):
+            if RANK[target] >= RANK[path.stem]:
+                upward.append(f"{path.stem} imports {target}")
+    assert upward == []

@@ -1,10 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import twistknot
 from twistknot.presentations import class_in_h1, homology
 from twistknot.twisted_torus import (
     TwistParams,
+    _link_prefix,
     closed_form,
     derive_from_diagram,
+    derive_intermediates,
     relator_template,
     s_paper_value,
     substitution_chain,
@@ -154,3 +162,39 @@ def test_relator_and_w_templates_reduce():
     assert relator_template(params) == word(("b", 1), ("a", 1), ("b", -1), ("a", 1), ("b", -1))
     assert w_template(params) == word(("b", 1))
     assert w_template(TwistParams(-1, 1)) == word(("b", 1), ("a", 1)) ** 3 * word(("b", 1))
+
+
+def test_link_prefix_is_not_computed_at_import():
+    # the command line imports every module; none may start the derivation
+    code = "import twistknot.cli, twistknot.twisted_torus as t; print(t._link_prefix.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(twistknot.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0"
+
+
+def test_link_prefix_is_computed_once():
+    derive_from_diagram(TwistParams(0, 0))
+    before = _link_prefix.cache_info()
+    params = TwistParams(1, 2)
+    derive_from_diagram(params)
+    verify_proof(params)
+    after = _link_prefix.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 2
+
+
+def test_model_and_proof_read_one_derivation():
+    for u, v in [(0, 0), (-2, 1), (3, 2)]:
+        params = TwistParams(u, v)
+        d = derive_intermediates(params)
+        model = derive_from_diagram(params)
+        report = verify_proof(params)
+        assert model.presentation.relators == (d.relator_ab,)
+        assert d.relator_gh.substitute(d.chain.stage2_backward) == d.relator_ab
+        assert model.longitude_precorrection == d.long_ab
+        assert model.longitude_paper == d.longitude_paper
+        assert model.twist_residue == d.images[6]
+        assert report.check(7).details["longitude"] == d.long_ab.as_text()
+        assert report.check(8).details["replayed"] == d.longitude_paper.as_text()
+        assert report.check(9).details["measured_class"] == 2 * u

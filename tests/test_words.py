@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import ABC, random_word
 from twistknot.words import (
@@ -167,6 +168,36 @@ def test_pairs_roundtrip():
     w = word(("b", 1), ("a", 1), ("b", -2), ("a", 1))
     assert Word.from_pairs(w.to_pairs()) == w
     assert w.to_pairs() == [["b", 1], ["a", 1], ["b", -2], ["a", 1]]
+
+
+def test_pairs_reject_malformed_input():
+    for bad in (5, [1, 2], [["a"]], [["a", 1.5]], [["a", "2"]], [["a", True]]):
+        with pytest.raises(ValueError, match="pairs"):
+            Word.from_pairs(bad)
+
+
+_RUNS = st.lists(
+    st.tuples(st.sampled_from(("a", "b", "g", "alpha", "delta7")), st.integers(-10**12, 10**12)),
+    max_size=8,
+)
+
+
+@given(_RUNS)
+def test_parse_inverts_as_text(pairs):
+    w = word(*pairs)
+    assert Word.parse(w.as_text()) == w
+
+
+def test_parse_examples():
+    assert Word.parse("b a b^-2 a") == word(("b", 1), ("a", 1), ("b", -2), ("a", 1))
+    assert Word.parse("1").is_identity
+    assert Word.parse("a a^-1").is_identity
+
+
+@pytest.mark.parametrize("text", ["", "a^", "a^x", "^2", "a  b", " a"])
+def test_parse_rejects_malformed_text(text):
+    with pytest.raises(ValueError, match="malformed word text"):
+        Word.parse(text)
 
 
 # -- randomized axioms ---------------------------------------------------------
