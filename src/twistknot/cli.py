@@ -225,16 +225,16 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         payload = args.handler(args)
+        if args.ledger:
+            records = payload if isinstance(payload, list) else [payload]
+            for record in records:
+                _append_ledger(args.ledger, args.command, _ledger_params(args), record)
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         module = type(exc).__module__
         qualifier = module.rsplit(".", 1)[-1] if module != "builtins" else "twistknot"
         print(f"{qualifier}: {exc}", file=sys.stderr)
         return 1
     _emit(payload, args.format)
-    if args.ledger:
-        records = payload if isinstance(payload, list) else [payload]
-        for record in records:
-            _append_ledger(args.ledger, args.command, _ledger_params(args), record)
     return 0
 
 

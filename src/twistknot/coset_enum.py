@@ -212,7 +212,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
         digest = _hash_text(f"exceeded:{max_cosets}:{defined}")
         return EnumerationResult("exceeded", None, max_cosets, defined, digest)
     order = state["live"]
-    digest = _hash_table(table, parent, find, ncols, defined)
+    digest = _hash_table(table, find, ncols)
     return EnumerationResult("finished", order, max_cosets, defined, digest)
 
 
@@ -220,7 +220,7 @@ def _hash_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _hash_table(table, parent, find, ncols: int, defined: int) -> str:
+def _hash_table(table, find, ncols: int) -> str:
     """Hash the closed table after canonical breadth-first renumbering."""
     start = find(1)
     number = {start: 1}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Optional
 
@@ -108,54 +109,48 @@ class Slope:
 # -- shape matching ----------------------------------------------------------
 
 
-def _conjugated_power_table(letters, gen):
-    """Exponents m for substrings cyclically reducing to ``gen^m``.
+def _power_index(letters, a, limit):
+    """Where the substrings ``c a^m c^-1`` with ``m >= 0`` lie in ``letters``.
 
-    Keys are ``(i, j)`` index pairs into ``letters`` (half-open); absent keys
-    mean the substring is not a conjugated power of ``gen``.  Empty substrings
-    count with m = 0.
+    Returns ``(run_end, mirrors, ending)``, built in one pass over the
+    positive a-runs.  ``[i, j)`` with ``i <= j <= run_end[i]`` is a piece
+    ``a^(j - i)`` of a run with an empty ``c`` (the empty piece included).
+    Every other one extends a whole run ``[s, s + m)`` by ``s - i`` letters on
+    each side, with ``c = letters[i:s]``; it is listed as ``(m, s)`` in
+    ``mirrors[i][j]`` and as ``i`` in ``ending[j]``.  Lengths stop at
+    ``limit``.  Negative powers are left out, since the shape needs
+    ``m, n >= 0``.
     """
     total = len(letters)
-    table: dict[tuple[int, int], int] = {(i, i): 0 for i in range(total + 1)}
-    for i in range(total):
-        if letters[i][0] == gen:
-            sign = letters[i][1]
-            j = i + 1
-            while j < total and letters[j][0] == gen:
-                j += 1
-            for stop in range(i + 1, j + 1):
-                table[(i, stop)] = sign * (stop - i)
-    for length in range(2, total + 1):
-        for i in range(0, total - length + 1):
-            j = i + length
-            if (i, j) in table:
-                continue
-            gi, si = letters[i]
-            gj, sj = letters[j - 1]
-            if gi == gj and si == -sj and (i + 1, j - 1) in table:
-                table[(i, j)] = table[(i + 1, j - 1)]
-    return table
-
-
-def _peel_conjugator(letters, i, j) -> Word:
-    """Conjugator prefix of a substring known to be a conjugated power."""
-    lo, hi = i, j - 1
-    prefix = []
-    while lo < hi and letters[lo][0] == letters[hi][0] and letters[lo][1] == -letters[hi][1]:
-        prefix.append(letters[lo])
-        lo += 1
-        hi -= 1
-    return Word(prefix)
+    run_end = list(range(total + 1))
+    mirrors: list[dict[int, tuple[int, int]]] = [{} for _ in range(total + 1)]
+    ending: list[list[int]] = [[] for _ in range(total + 1)]
+    for s in reversed(range(total)):
+        if letters[s] != (a, 1):
+            continue
+        run_end[s] = run_end[s + 1]
+        if s and letters[s - 1] == (a, 1):
+            continue
+        i, j = s - 1, run_end[s]
+        while i >= 0 and j < min(total, i + limit) and letters[i] == (letters[j][0], -letters[j][1]):
+            mirrors[i][j + 1] = (run_end[s] - s, s)
+            ending[j + 1].append(i)
+            i, j = i - 1, j + 1
+    return run_end, mirrors, ending
 
 
 def match_it_shape(p: Presentation) -> list[ITShape]:
     """All decompositions of the relator into the criterion shape.
 
-    The cyclically reduced relator is scanned over every rotation, both
-    inversions and both generator-role assignments; decompositions violating
-    ``m, n, k >= 0`` are discarded.  Conjugators are canonical (cyclically
-    reduced), so each is determined up to the stray powers of ``a`` that a
-    conjugating word may absorb.  Sorted by ``|w1| + |w2|`` ascending.
+    Every rotation of the cyclically reduced relator, both inversions and
+    both generator roles are cut as ``X b^-r Y b^(r-k)``.  ``X`` and ``Y`` are
+    conjugated powers ``c a^m c^-1`` with ``m >= 0``, read from one index of
+    the letters; the b-blocks are stretches of ``b`` letters, so ``r`` and
+    ``k`` are sign times length, and cuts with ``k < 0`` are dropped.  The
+    cost grows with the number of shapes, quadratic in ``u`` for a family
+    member.  Conjugators are canonical (cyclically reduced), so each is
+    determined up to the stray powers of ``a`` that a conjugating word may
+    absorb.  Sorted by ``|w1| + |w2|`` ascending.
     """
     if len(p.generators) != 2:
         raise CriterionError(
@@ -169,45 +164,50 @@ def match_it_shape(p: Presentation) -> list[ITShape]:
     if len(core.generator_set()) < 2:
         return []
     g0, g1 = p.generators
-    found: set[tuple] = set()
-    shapes: list[ITShape] = []
+    found: dict[tuple, ITShape] = {}
     for a, b in ((g0, g1), (g1, g0)):
         for variant in (core, core.inverse()):
             letters = variant.letters()
             size = len(letters)
             doubled = letters + letters
-            table = _conjugated_power_table(doubled, a)
+            run_end, mirrors, ending = _power_index(doubled, a, size)
+            conjugator = cache(lambda i, s: Word(doubled[i:s]))
+            b_end = list(range(2 * size + 1))  # end of the stretch of b letters from i
+            for i in reversed(range(2 * size)):
+                if doubled[i][0] == b:
+                    b_end[i] = b_end[i + 1]
             for start in range(size):
                 stop = start + size
-                # suffix candidates for the trailing pure-b block
-                p3_list = [stop]
-                while p3_list[-1] > start and doubled[p3_list[-1] - 1][0] == b:
-                    p3_list.append(p3_list[-1] - 1)
-                for p3 in p3_list:
-                    signed_b2 = sum(s for _, s in doubled[p3:stop])
-                    for p1 in range(start, p3 + 1):
-                        m = table.get((start, p1))
-                        if m is None or m < 0:
-                            continue
-                        p2 = p1
-                        while True:
-                            n = table.get((p2, p3))
-                            if n is not None and n >= 0:
-                                signed_b1 = sum(s for _, s in doubled[p1:p2])
-                                r = -signed_b1
-                                k = r - signed_b2
-                                if k >= 0:
-                                    w1 = _peel_conjugator(doubled, start, p1)
-                                    w2 = _peel_conjugator(doubled, p2, p3).inverse()
-                                    key = (a.name, m, n, r, k, w1.runs, w2.runs)
-                                    if key not in found:
-                                        found.add(key)
-                                        shapes.append(ITShape(a, b, m, n, r, k, w1, w2))
-                            if p2 < p3 and doubled[p2][0] == b:
-                                p2 += 1
-                            else:
-                                break
-    shapes.sort(
+                xs = sorted(
+                    [(p1, p1 - start, start) for p1 in range(start, run_end[start] + 1)]
+                    + [(p1, m, s1) for p1, (m, s1) in mirrors[start].items()]
+                )
+                for p3 in range(stop, start - 1, -1):
+                    if b_end[p3] < stop:
+                        break
+                    signed_b2 = (stop - p3) * doubled[p3][1]
+                    for p1, m, s1 in xs:
+                        if p1 > p3:
+                            break
+                        # Y = [p2, p3) follows the b letters [p1, p2): a piece of an
+                        # a-run can start only at p1 or where they end, and every
+                        # other power that ends at p3 is listed in ending[p3]
+                        last = min(b_end[p1], p3)
+                        p2s = {p1, last}.union(i for i in ending[p3] if p1 <= i <= last)
+                        for p2 in sorted(p2s):
+                            y = (p3 - p2, p2) if p3 <= run_end[p2] else mirrors[p2].get(p3)
+                            r = -(p2 - p1) * doubled[p1][1]
+                            k = r - signed_b2
+                            if y is None or k < 0:
+                                continue
+                            n, s2 = y
+                            w1 = conjugator(start, s1)
+                            w2 = conjugator(p2, s2).inverse()
+                            key = (a.name, m, n, r, k, w1.runs, w2.runs)
+                            if key not in found:
+                                found[key] = ITShape(a, b, m, n, r, k, w1, w2)
+    return sorted(
+        found.values(),
         key=lambda s: (
             len(s.w1) + len(s.w2),
             s.m,
@@ -217,9 +217,8 @@ def match_it_shape(p: Presentation) -> list[ITShape]:
             s.w1.as_text(),
             s.w2.as_text(),
             s.a.name,
-        )
+        ),
     )
-    return shapes
 
 
 # -- longitude form and the decision ------------------------------------------
@@ -359,11 +358,11 @@ def minimal_integer_bound(params: TwistParams, use: str = "paper") -> int:
     The verdict is monotone in the slope, so the answer is the bound ``s + t``
     itself whenever the criterion applies at all.
     """
-    if params.u <= -2:
+    _, shape, form = _family_setup(params, use)
+    if not form.w_positive:
         raise CriterionError(
             f"the longitude's block word is not positive for u = {params.u} <= -2"
         )
-    _, shape, form = _family_setup(params, use)
     bound = form.s + form.t
     if decide(shape, form, Slope(bound, 1)).kind != "GuaranteedNonLO":
         raise CriterionError("no certified integer slope found near the bound")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .words import Generator, Word, is_conjugate, word
+from .words import Generator, Word, is_conjugate, is_name, word
 
 
 class PresentationError(ValueError):
@@ -56,7 +56,9 @@ class Presentation:
             isinstance(data.get(key), list) for key in ("generators", "relators")
         ):
             raise PresentationError('a presentation needs "generators" and "relators" lists')
-        gens = tuple(Generator(str(n)) for n in data["generators"])
+        if not all(is_name(n) for n in data["generators"]):
+            raise PresentationError("generator names must be nonempty strings")
+        gens = tuple(Generator(n) for n in data["generators"])
         rels = tuple(Word.from_pairs(p) for p in data["relators"])
         return Presentation(gens, rels)
 

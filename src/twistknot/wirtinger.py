@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .presentations import Presentation, PresentationError, add_relators
-from .words import Generator, Word, word
+from .words import Generator, Word, is_integer, is_name, word
 
 
 class DiagramError(ValueError):
@@ -247,7 +247,8 @@ def add_twist_relations(p: Presentation, u: int, v: int) -> Presentation:
 # -- serialization -----------------------------------------------------------
 
 
-_CROSSING_KEYS = {"id", "over", "under_in", "under_out", "sign"}
+_NAME_KEYS = ("id", "over", "under_in", "under_out")
+_CROSSING_KEYS = {*_NAME_KEYS, "sign"}
 
 
 def diagram_to_json(d: LinkDiagram) -> dict:
@@ -280,20 +281,31 @@ def diagram_from_json(data: Mapping) -> LinkDiagram:
     ):
         raise DiagramError("diagram JSON needs lists 'arcs', 'components' of lists and 'crossings'")
     for c in crossings:
-        if not (isinstance(c, Mapping) and _CROSSING_KEYS <= c.keys() and isinstance(c["sign"], int)):
-            raise DiagramError("each crossing needs id, over, under_in, under_out and an integer sign")
+        if not (
+            isinstance(c, Mapping)
+            and _CROSSING_KEYS <= c.keys()
+            and all(is_name(c[key]) for key in _NAME_KEYS)
+            and is_integer(c["sign"])
+            and is_name(c.get("form", "in_first"))
+        ):
+            raise DiagramError(
+                "each crossing needs string id, over, under_in and under_out,"
+                " an integer sign and, if given, a string form"
+            )
+    if not all(is_name(n) for n in [*arcs, *(a for comp in components for a in comp), *names]):
+        raise DiagramError("arc and component names must be nonempty strings")
     return LinkDiagram(
-        arcs=tuple(str(a) for a in arcs),
-        components=tuple(tuple(str(a) for a in comp) for comp in components),
+        arcs=tuple(arcs),
+        components=tuple(tuple(comp) for comp in components),
         crossings=tuple(
             Crossing(
-                *(str(c[key]) for key in ("id", "over", "under_in", "under_out")),
+                *(c[key] for key in _NAME_KEYS),
                 sign=c["sign"],
-                form=str(c.get("form", "in_first")),
+                form=c.get("form", "in_first"),
             )
             for c in crossings
         ),
-        component_names=tuple(str(n) for n in names),
+        component_names=tuple(names),
     )
 
 

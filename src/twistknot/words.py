@@ -30,6 +30,16 @@ class Generator:
         return self.name
 
 
+def is_name(value) -> bool:
+    """True for a nonempty string, the only JSON value that may name something."""
+    return isinstance(value, str) and bool(value)
+
+
+def is_integer(value) -> bool:
+    """True for an ``int`` that is not a ``bool`` (JSON ``true`` is no integer)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def generators(*names: str) -> tuple[Generator, ...]:
     return tuple(Generator(n) for n in names)
 
@@ -162,10 +172,11 @@ class Word:
     def from_pairs(pairs: Sequence[Sequence]) -> "Word":
         """Inverse of ``to_pairs``; ``ValueError`` on anything but ``[name, int]`` pairs."""
         if not isinstance(pairs, list | tuple) or not all(
-            isinstance(p, list | tuple) and len(p) == 2 and type(p[1]) is int for p in pairs
+            isinstance(p, list | tuple) and len(p) == 2 and is_name(p[0]) and is_integer(p[1])
+            for p in pairs
         ):
-            raise ValueError("a word must be a list of [generator, integer exponent] pairs")
-        return Word((Generator(str(name)), exp) for name, exp in pairs)
+            raise ValueError("a word must be a list of [generator name, integer exponent] pairs")
+        return Word((Generator(name), exp) for name, exp in pairs)
 
     @staticmethod
     def parse(text: str) -> "Word":

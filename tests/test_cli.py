@@ -228,7 +228,15 @@ def test_non_integer_coset_budget_env_exits_2(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "data",
-    [{"generators": ["a"], "relators": 5}, {"generators": ["a"], "relators": [1, 2]}, [1, 2]],
+    [
+        {"generators": ["a"], "relators": 5},
+        {"generators": ["a"], "relators": [1, 2]},
+        [1, 2],
+        {"generators": [{"x": 1}, 5], "relators": [[[5, 2]]]},
+        {"generators": ["a", ""], "relators": [[["a", 2]]]},
+        {"generators": ["a", "b"], "relators": [[[None, 2]]]},
+        {"generators": ["a", "b"], "relators": [[["a", True]]]},
+    ],
 )
 def test_malformed_presentation_file_exits_1(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
@@ -237,11 +245,29 @@ def test_malformed_presentation_file_exits_1(tmp_path, capsys, data):
 
 
 def test_malformed_diagram_file_exits_1(tmp_path, capsys):
-    data = diagram_to_json(builtin_link_L())
-    data["crossings"] = 5
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    _one_line_error(capsys, ["wirtinger", "--diagram", str(path)], 1)
+    # each case replaces one field of a valid diagram, found by its key path
+    for *path, key, value in [
+        ("crossings", 5),
+        ("arcs", 0, ["alpha"]),
+        ("components", 0, 0, 7),
+        ("component_names", 0, None),
+        ("crossings", 0, "over", 3),
+        ("crossings", 0, "sign", True),
+        ("crossings", 0, "form", ["in_first"]),
+    ]:
+        data = diagram_to_json(builtin_link_L())
+        target = data
+        for step in path:
+            target = target[step]
+        target[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        _one_line_error(capsys, ["wirtinger", "--diagram", str(bad)], 1)
+
+
+def test_unwritable_ledger_exits_1(tmp_path, capsys):
+    ledger = tmp_path / "missing" / "runs.jsonl"
+    _one_line_error(capsys, ["--ledger", str(ledger), "bound", "--u", "-1", "--v", "0"], 1)
 
 
 def test_verify_proof_displays_psi_rotated_equations(capsys):

@@ -16,7 +16,7 @@ from twistknot.criterion import (
 )
 from twistknot.presentations import Presentation, conjugate_relator, invert_relator
 from twistknot.twisted_torus import TwistParams, closed_form
-from twistknot.words import Generator, is_conjugate, word
+from twistknot.words import Generator, Word, is_conjugate, word
 
 A = Generator("a")
 B = Generator("b")
@@ -138,6 +138,67 @@ def test_match_invariant_under_rotation_and_inversion():
             assert got == reference
 
 
+def _power_of(letters, a):
+    """``(m, c)`` when the letters spell ``c a^m c^-1`` with ``m >= 0``, else None."""
+    core, c = Word(letters).cyclic_reduce()
+    if core.generator_set() - {a} or len(core.runs) > 1 or core.exponent_sum(a) < 0:
+        return None
+    return core.exponent_sum(a), c
+
+
+def _brute_force_keys(p):
+    """Every cut of every rotation, judged by cyclic reduction alone."""
+    keys = set()
+    core, _ = p.relators[0].cyclic_reduce()
+    for a, b in (p.generators, p.generators[::-1]):
+        for variant in (core, core.inverse()):
+            letters = variant.letters()
+            size = len(letters)
+            for shift in range(size):
+                rot = letters[shift:] + letters[:shift]
+                xs = [_power_of(rot[:p1], a) for p1 in range(size + 1)]
+                for p3 in range(size, -1, -1):
+                    if any(g != b for g, _ in rot[p3:]):
+                        break
+                    for p1 in range(p3 + 1):
+                        if xs[p1] is None:
+                            continue
+                        m, w1 = xs[p1]
+                        for p2 in range(p1, p3 + 1):
+                            if any(g != b for g, _ in rot[p1:p2]):
+                                break
+                            y = _power_of(rot[p2:p3], a)
+                            if y is None:
+                                continue
+                            n, w2_inv = y
+                            r = -sum(e for _, e in rot[p1:p2])
+                            k = r - sum(e for _, e in rot[p3:])
+                            if k >= 0:
+                                keys.add((a.name, m, n, r, k, w1.runs, w2_inv.inverse().runs))
+    return keys
+
+
+def test_match_finds_every_shape_a_brute_force_finds():
+    cases = [
+        closed_form(TwistParams(u, v)).presentation for u in range(-3, 5) for v in (0, 1)
+    ]
+    rng = random.Random(8128)
+    while len(cases) < 16 + 150:
+        runs = [
+            ((A, B)[i % 2], rng.choice((-1, 1)) * rng.randint(1, 3))
+            for i in range(rng.randint(2, 6))
+        ]
+        relator = Word(runs)
+        # a core in one generator is a documented early return, not a match
+        if len(relator.cyclic_reduce()[0].generator_set()) == 2:
+            cases.append(Presentation((A, B), (relator,)))
+    for p in cases:
+        got = {
+            (s.a.name, s.m, s.n, s.r, s.k, s.w1.runs, s.w2.runs) for s in match_it_shape(p)
+        }
+        assert got == _brute_force_keys(p), p.relators[0]
+
+
 def test_parse_longitude_examples():
     form = parse_longitude(word(("a", -7), ("b", 3), ("a", 1)))
     assert (form.s, form.t) == (7, -1)
@@ -257,6 +318,10 @@ def test_report_json_shape():
     assert data["verdict"] == {"kind": "GuaranteedNonLO", "reason": None}
     assert data["shape"] is not None
     assert data["shape"]["m"] >= 0 and data["shape"]["k"] >= 0
+    # the first shape in sort order is the one every report shows
+    first = check_family_slope(TwistParams(2, 1), Slope(13, 1)).to_json()["shape"]
+    assert (first["m"], first["n"], first["r"], first["k"]) == (1, 1, -3, 1)
+    assert first["text"] == {"w1": "a^-1 b^-1", "w2": "b^-1 a^-1"}
 
 
 def test_misspelled_longitude_selector_raises_everywhere():
