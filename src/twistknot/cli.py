@@ -216,6 +216,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("h1", "alexander") and not getattr(args, "presentation", None):
         if args.u is None or args.v is None:
             parser.error(f"{args.command} requires --u and --v or --presentation FILE")
+    if getattr(args, "presentation", None) and any(
+        getattr(args, flag, None) is not None for flag in ("u", "v", "p")
+    ):
+        parser.error(f"{args.command} takes --presentation FILE or --u/--v/--p, not both")
     if args.command == "enumerate" and args.max_cosets is None:
         raw = os.environ.get(MAX_COSETS_ENV)
         try:

@@ -23,6 +23,10 @@ if TYPE_CHECKING:
 
 DEFAULT_MAX_COSETS = 10**6
 
+# the enumerator expands relators into single letters; past this many in all,
+# a presentation is refused instead of filling memory
+MAX_RELATOR_LETTERS = 10**6
+
 STRATEGY = "hlt/first-undefined/no-lookahead"
 
 
@@ -83,6 +87,12 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
     """
     if max_cosets < 1:
         raise PresentationError("max_cosets must be >= 1")
+    letters = sum(len(r) for r in p.relators)
+    if letters > MAX_RELATOR_LETTERS:
+        raise PresentationError(
+            f"relators have {letters} letters in all; coset enumeration takes at most "
+            f"{MAX_RELATOR_LETTERS}"
+        )
     gens = p.generators
     if not gens:
         return EnumerationResult(

@@ -113,17 +113,13 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.runs)))
 
     def __pow__(self, n: int) -> "Word":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = Word()
-        acc = base
-        while n:
-            if n & 1:
-                result = result * acc
-            n >>= 1
-            if n:
-                acc = acc * acc
-        return result
+        """``c core^n c^-1`` for ``self == c core c^-1``, in one reduction."""
+        core, conj = self.cyclic_reduce()
+        if len(core.runs) == 1:
+            body = ((core.runs[0][0], core.runs[0][1] * n),)
+        else:
+            body = (core if n >= 0 else core.inverse()).runs * abs(n)
+        return Word(conj.runs + body + conj.inverse().runs)
 
     def conjugate(self, by: "Word") -> "Word":
         """Return ``by * self * by^-1``."""
@@ -157,12 +153,17 @@ class Word:
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return ``(core, conjugator)`` with ``self == conjugator * core * conjugator^-1``
         and ``core`` cyclically reduced."""
-        letters = self.letters()
-        i, j = 0, len(letters) - 1
-        while i < j and letters[i][0] == letters[j][0] and letters[i][1] == -letters[j][1]:
-            i += 1
-            j -= 1
-        return Word(letters[i : j + 1]), Word(letters[:i])
+        runs = list(self.runs)
+        i, j = 0, len(runs) - 1
+        peeled: list[tuple[Generator, int]] = []
+        while i < j and runs[i][0] == runs[j][0] and (runs[i][1] > 0) != (runs[j][1] > 0):
+            # the end runs cancel; the shorter one goes whole, the longer one shrinks
+            (gen, first), (_, last) = runs[i], runs[j]
+            step = first if abs(first) <= abs(last) else -last
+            peeled.append((gen, step))
+            runs[i], runs[j] = (gen, first - step), (gen, last + step)
+            i, j = i + (runs[i][1] == 0), j - (runs[j][1] == 0)
+        return Word(runs[i : j + 1]), Word(peeled)
 
     def to_pairs(self) -> list[list]:
         """JSON form: list of ``[name, exponent]`` pairs."""
@@ -204,20 +205,18 @@ def reduce_word(letters: Iterable[tuple[Generator, int]]) -> Word:
 
 
 def is_conjugate(x: Word, y: Word) -> bool:
-    """Free-group conjugacy: equal cyclically reduced cores up to rotation."""
-    cx, _ = x.cyclic_reduce()
-    cy, _ = y.cyclic_reduce()
-    lx, ly = cx.letters(), cy.letters()
-    if len(lx) != len(ly):
-        return False
-    if not lx:
-        return True
-    doubled = ly + ly
-    n = len(lx)
-    for start in range(n):
-        if doubled[start : start + n] == lx:
-            return True
-    return False
+    """Free-group conjugacy: equal cyclic run lists up to rotation.  Read around
+    the circle, a core's last run merges into its first when they share a
+    generator (and so, the core being cyclically reduced, a sign)."""
+    cyclic = []
+    for w in (x, y):
+        runs = list(w.cyclic_reduce()[0].runs)
+        if len(runs) > 1 and runs[0][0] == runs[-1][0]:
+            runs[0] = (runs[0][0], runs[0][1] + runs.pop()[1])
+        cyclic.append(runs)
+    rx, ry = cyclic
+    n = len(rx)
+    return n == len(ry) and (n == 0 or any(ry[k:] + ry[:k] == rx for k in range(n)))
 
 
 def is_positive_excluding(x: Word, forbidden_inverses: Iterable[Generator]) -> bool:

@@ -227,6 +227,39 @@ def test_non_integer_coset_budget_env_exits_2(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--u", "100000000", "--v", "0", "--p", "1", "--q", "1"],
+        ["enumerate", "--u", "0", "--v", "0", "--p", "100000000", "--q", "1"],
+    ],
+)
+def test_enumerate_overlong_relators_exit_1(capsys, argv):
+    # refused before any relator is expanded into letters
+    _one_line_error(capsys, argv + ["--max-cosets", "10"], 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["h1", "--p", "5", "--q", "1"],
+        ["h1", "--u", "3", "--v", "1"],
+        ["h1", "--v", "1"],
+        ["alexander", "--u", "3", "--v", "1"],
+        ["alexander", "--u", "3"],
+    ],
+)
+def test_presentation_file_with_parameters_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps({"generators": ["a"], "relators": [[["a", 6]]]}), encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--presentation", str(path)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--presentation" in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
     "data",
     [
         {"generators": ["a"], "relators": 5},

@@ -207,6 +207,12 @@ def test_max_cosets_guard():
         todd_coxeter(Presentation((A,), (word(("a", 2)),)), 0)
 
 
+def test_relator_letter_bound():
+    # a^(10^7) would be expanded into ten million letters
+    with pytest.raises(PresentationError, match="letters"):
+        todd_coxeter(Presentation((A,), (word(("a", 10**7)),)), 10)
+
+
 def test_result_json():
     p = Presentation((A,), (word(("a", 4)),))
     result = todd_coxeter(p, 100)

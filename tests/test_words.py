@@ -237,3 +237,103 @@ def test_is_conjugate_equivalence_relation():
         assert is_conjugate(w, w)
         assert is_conjugate(w, x) and is_conjugate(x, w)
         assert is_conjugate(w, x) and is_conjugate(x, y) and is_conjugate(w, y)
+
+
+# -- run-length operations against a letter-level reference ---------------------
+
+
+def _letters(w: Word) -> list[tuple[Generator, int]]:
+    return [(g, 1 if e > 0 else -1) for g, e in w.runs for _ in range(abs(e))]
+
+
+def _ref_cyclic_reduce(w: Word) -> tuple[Word, Word]:
+    letters = _letters(w)
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i][0] == letters[j][0] and letters[i][1] == -letters[j][1]:
+        i += 1
+        j -= 1
+    return Word(letters[i : j + 1]), Word(letters[:i])
+
+
+def _ref_is_conjugate(x: Word, y: Word) -> bool:
+    lx, ly = _letters(_ref_cyclic_reduce(x)[0]), _letters(_ref_cyclic_reduce(y)[0])
+    n = len(lx)
+    return n == len(ly) and (n == 0 or any((ly + ly)[k : k + n] == lx for k in range(n)))
+
+
+def _ref_pow(w: Word, n: int) -> Word:
+    return Word(_letters(w if n >= 0 else w.inverse()) * abs(n))
+
+
+@st.composite
+def _word_pairs(draw):
+    names = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    runs = st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from((-3, -2, -1, 1, 2, 3))), max_size=7
+    )
+    x = word(*draw(runs))
+    choice = draw(st.sampled_from(("conjugate", "rotate", "inverse", "free")))
+    if choice == "conjugate":
+        y = x.conjugate(word(*draw(runs)))
+    elif choice == "rotate" and x.runs:
+        cut = draw(st.integers(0, len(x.runs) - 1))
+        y = Word(x.runs[cut:] + x.runs[:cut])
+    elif choice == "inverse":
+        y = x.inverse()
+    else:
+        y = word(*draw(runs))
+    return x, y
+
+
+@given(_word_pairs(), st.integers(-6, 6))
+def test_run_operations_match_letter_reference(pair, n):
+    x, y = pair
+    assert x.cyclic_reduce() == _ref_cyclic_reduce(x)
+    assert is_conjugate(x, y) == _ref_is_conjugate(x, y)
+    assert x**n == _ref_pow(x, n)
+
+
+def test_run_operations_never_expand_letters(monkeypatch):
+    def refuse(self):
+        raise AssertionError("letters() expanded a word")
+
+    monkeypatch.setattr(Word, "letters", refuse)
+    samples = [
+        Word(),
+        word(("a", 5)),
+        word(("b", 2), ("a", -3), ("b", -1)),
+        word(("a", 2), ("b", 1), ("a", -1)),
+        word(("b", 1), ("a", 1), ("b", -2), ("a", 1)),
+        word(("c", -1), ("a", 2), ("b", 3), ("a", 1), ("c", 1)),
+    ]
+    for x in samples:
+        core, conj = x.cyclic_reduce()
+        assert conj * core * conj.inverse() == x
+        for y in samples:
+            is_conjugate(x, y)
+        for n in (-3, -1, 0, 1, 2):
+            x**n
+
+
+N_HUGE = 10**18
+
+
+def test_huge_exponent_conjugacy_and_cyclic_reduce():
+    # each of these would list 10^18 letters if runs were expanded
+    b = word(("b", 1))
+    a_n = word(("a", N_HUGE))
+    w = a_n.conjugate(b)
+    assert is_conjugate(w, a_n)
+    assert not is_conjugate(w, word(("a", N_HUGE - 1)))
+    assert w.cyclic_reduce() == (a_n, b)
+    peeled = word(("a", N_HUGE), ("b", 1), ("a", 1 - N_HUGE))
+    assert peeled.cyclic_reduce() == (word(("a", 1), ("b", 1)), word(("a", N_HUGE - 1)))
+
+
+def test_huge_exponent_powers():
+    b = word(("b", 1))
+    w = word(("a", N_HUGE)).conjugate(b)
+    assert w**3 == word(("a", 3 * N_HUGE)).conjugate(b)
+    assert w**-2 == word(("a", -2 * N_HUGE)).conjugate(b)
+    ab = word(("a", N_HUGE), ("b", -N_HUGE))
+    assert ab**2 == word(("a", N_HUGE), ("b", -N_HUGE), ("a", N_HUGE), ("b", -N_HUGE))
