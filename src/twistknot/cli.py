@@ -158,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_uv(s, required=False)
     s.add_argument("--presentation", metavar="FILE", help="presentation JSON file")
     s.add_argument("--p", type=int, help="optional surgery slope numerator")
-    s.add_argument("--q", type=int, default=1, help="surgery slope denominator")
+    s.add_argument("--q", type=int, help="surgery slope denominator (default 1)")
     _add_longitude(s)
-    s.set_defaults(handler=_cmd_h1)
+    s.set_defaults(handler=_cmd_h1, longitude=None)
 
     s = sub.add_parser("alexander", help="Alexander polynomial by Fox calculus")
     _add_uv(s, required=False)
@@ -217,9 +217,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.u is None or args.v is None:
             parser.error(f"{args.command} requires --u and --v or --presentation FILE")
     if getattr(args, "presentation", None) and any(
-        getattr(args, flag, None) is not None for flag in ("u", "v", "p")
+        getattr(args, flag, None) is not None for flag in ("u", "v", "p", "q", "longitude")
     ):
         parser.error(f"{args.command} takes --presentation FILE or --u/--v/--p, not both")
+    if args.command == "h1":
+        if args.p is None and (args.q is not None or args.longitude is not None):
+            print("twistknot: h1 takes --q and --longitude only with --p", file=sys.stderr)
+            return 2
+        # h1's slope defaults, filled in only now so that a flag without --p is caught
+        args.q = 1 if args.q is None else args.q
+        args.longitude = args.longitude or "paper"
     if args.command == "enumerate" and args.max_cosets is None:
         raw = os.environ.get(MAX_COSETS_ENV)
         try:

@@ -71,11 +71,7 @@ def surgered_presentation(model: KnotGroupModel, slope, use: str = "paper") -> P
 
 
 def _relator_columns(rel: Word, column_of: dict) -> list[int]:
-    out: list[int] = []
-    for gen, sign in rel.letters():
-        col = column_of[gen]
-        out.append(col if sign > 0 else col ^ 1)
-    return out
+    return [column_of[g] ^ (e < 0) for g, e in rel.runs for _ in range(abs(e))]
 
 
 def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> EnumerationResult:
@@ -102,10 +98,15 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
     ncols = 2 * len(gens)
     relators = [_relator_columns(r, column_of) for r in p.relators if not r.is_identity]
 
-    # column-major tables; coset numbers are 1-based, 0 means undefined
+    # column-major tables; coset numbers are 1-based, 0 means undefined.
+    # Every nonzero entry table[c][x] = y has its partner table[c ^ 1][y] = x:
+    # define and the scan's deduction write both, and new entries only ever
+    # fill zero slots.  Processing a dead coset clears both members of each
+    # of its pairs, so once coincidence returns no entry names a dead coset
+    # and scans follow the table as it stands.
     table = [array("i", [0, 0]) for _ in range(ncols)]
     parent = array("i", [0, 1])
-    state = {"defined": 1, "live": 1}
+    defined = live = 1
 
     def find(x: int) -> int:
         root = x
@@ -116,11 +117,12 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
         return root
 
     def define(alpha: int, col: int) -> int:
-        if state["defined"] >= max_cosets:
+        nonlocal defined, live
+        if defined >= max_cosets:
             raise _Limit
-        state["defined"] += 1
-        state["live"] += 1
-        beta = state["defined"]
+        defined += 1
+        live += 1
+        beta = defined
         for column in table:
             column.append(0)
         parent.append(beta)
@@ -131,13 +133,14 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
     merge_queue: deque[int] = deque()
 
     def merge(x: int, y: int) -> None:
+        nonlocal live
         x, y = find(x), find(y)
         if x == y:
             return
         if x > y:
             x, y = y, x
         parent[y] = x
-        state["live"] -= 1
+        live -= 1
         merge_queue.append(y)
 
     def coincidence(x: int, y: int) -> None:
@@ -172,9 +175,6 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
                 nxt = table[rel[i]][fwd]
                 if not nxt:
                     break
-                if parent[nxt] != nxt:
-                    nxt = find(nxt)
-                    table[rel[i]][fwd] = nxt
                 fwd = nxt
                 i += 1
             if i > j:
@@ -185,9 +185,6 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
                 nxt = table[rel[j] ^ 1][bwd]
                 if not nxt:
                     break
-                if parent[nxt] != nxt:
-                    nxt = find(nxt)
-                    table[rel[j] ^ 1][bwd] = nxt
                 bwd = nxt
                 j -= 1
             if j < i:
@@ -200,10 +197,9 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
             fwd = define(fwd, rel[i])
             i += 1
 
-    exceeded = False
     try:
         alpha = 1
-        while alpha <= state["defined"]:
+        while alpha <= defined:
             if parent[alpha] == alpha:
                 for rel in relators:
                     scan_and_fill(alpha, rel)
@@ -215,40 +211,29 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
                             define(alpha, col)
             alpha += 1
     except _Limit:
-        exceeded = True
-
-    defined = state["defined"]
-    if exceeded:
         digest = _hash_text(f"exceeded:{max_cosets}:{defined}")
         return EnumerationResult("exceeded", None, max_cosets, defined, digest)
-    order = state["live"]
-    digest = _hash_table(table, find, ncols)
-    return EnumerationResult("finished", order, max_cosets, defined, digest)
+    return EnumerationResult("finished", live, max_cosets, defined, _hash_table(table, ncols))
 
 
 def _hash_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _hash_table(table, find, ncols: int) -> str:
+def _hash_table(table, ncols: int) -> str:
     """Hash the closed table after canonical breadth-first renumbering."""
-    start = find(1)
-    number = {start: 1}
-    order_list = [start]
-    head = 0
-    while head < len(order_list):
-        coset = order_list[head]
-        head += 1
+    # coset 1 never dies: merge always keeps the smaller number
+    number = {1: 1}
+    order_list = [1]
+    for coset in order_list:
         for col in range(ncols):
             target = table[col][coset]
-            if target:
-                target = find(target)
-                if target not in number:
-                    number[target] = len(order_list) + 1
-                    order_list.append(target)
+            if target and target not in number:
+                number[target] = len(order_list) + 1
+                order_list.append(target)
     hasher = hashlib.sha256()
     hasher.update(STRATEGY.encode())
     for coset in order_list:
-        row = [number.get(find(table[col][coset]), 0) if table[col][coset] else 0 for col in range(ncols)]
+        row = [number.get(table[col][coset], 0) for col in range(ncols)]
         hasher.update(bytes(str(row), "ascii"))
     return hasher.hexdigest()[:16]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .words import Generator, Word, is_conjugate, is_name, word
+from .words import Generator, Word, is_conjugate, is_name
 
 
 class PresentationError(ValueError):
@@ -392,13 +392,14 @@ def _fox_image(rel: Word, gen: Generator, phi: dict[Generator, int]) -> LaurentP
     """Abelianized Fox derivative of ``rel`` with respect to ``gen``."""
     acc: dict[int, int] = {}
     height = 0
-    for g, s in rel.letters():
+    for g, e in rel.runs:
+        step = phi[g]
         if g == gen:
-            if s > 0:
-                acc[height] = acc.get(height, 0) + 1
-            else:
-                acc[height - phi[g]] = acc.get(height - phi[g], 0) - 1
-        height += s * phi[g]
+            # x^e adds |e| terms, from h upward for e > 0, from h + e*phi(x) for e < 0
+            sign, start = (1, height) if e > 0 else (-1, height + e * step)
+            for k in range(abs(e)):
+                acc[start + k * step] = acc.get(start + k * step, 0) + sign
+        height += e * step
     return LaurentPolynomial(acc)
 
 
@@ -415,14 +416,12 @@ def alexander_polynomial(p: Presentation) -> LaurentPolynomial:
         raise PresentationError(
             "Alexander polynomial requires a 2-generator, 1-relator presentation"
         )
-    summary = homology(p)
-    if summary.free_rank != 1 or summary.torsion_orders:
+    diag, u, rank = _abelianization_snf(p)
+    if rank != 1 or diag[0] != 1:
         raise PresentationError("presentation does not have H1 infinite cyclic")
+    # the free coordinate of each generator, as class_in_h1 gives it
+    phi = dict(zip(p.generators, u[rank]))
     g0, g1 = p.generators
-    phi = {
-        g0: class_in_h1(p, word((g0, 1)))[0],
-        g1: class_in_h1(p, word((g1, 1)))[0],
-    }
     x, y = (g0, g1) if phi[g1] else (g1, g0)
     rel = p.relators[0]
     t_minus_1 = LaurentPolynomial({1: 1, 0: -1})

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -246,6 +247,9 @@ def test_enumerate_overlong_relators_exit_1(capsys, argv):
         ["h1", "--v", "1"],
         ["alexander", "--u", "3", "--v", "1"],
         ["alexander", "--u", "3"],
+        ["h1", "--q", "3", "--longitude", "corrected"],
+        ["h1", "--q", "1"],
+        ["h1", "--longitude", "paper"],
     ],
 )
 def test_presentation_file_with_parameters_is_usage_error(tmp_path, capsys, argv):
@@ -257,6 +261,14 @@ def test_presentation_file_with_parameters_is_usage_error(tmp_path, capsys, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--presentation" in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--q", "3", "--longitude", "corrected"], ["--q", "1"], ["--longitude", "paper"]],
+)
+def test_h1_slope_options_without_p_are_usage_error(capsys, options):
+    _one_line_error(capsys, ["h1", "--u", "0", "--v", "0", *options], 2)
 
 
 @pytest.mark.parametrize(
@@ -309,3 +321,63 @@ def test_verify_proof_displays_psi_rotated_equations(capsys):
     checks = json.loads(out)["checks"]
     assert checks[2]["details"]["equation_1"] == "h^-3 g^2 h^-1 g h^-1 g^2 h^-2 g^-1 h g^-1 h"
     assert checks[3]["details"]["equation_2"] == "g^-2 h^2 g h^-1 g h^2 g^-2 h g^-1 h"
+
+
+# argv -> (exit code, first 16 hex digits of sha256(stdout)); an output that
+# changes on purpose is updated here and named in CHANGES.md
+GOLDEN = [
+    ("generate --u -3 --v 0", 0, "e0518b7ebb9ecdce"),
+    ("generate --u -3 --v 0 --mode derive", 0, "a299a8b218a719a3"),
+    ("verify-proof --u -3 --v 0", 0, "ad9fd8a4fd624186"),
+    ("bound --u -3 --v 0 --longitude corrected", 1, "e3b0c44298fc1c14"),
+    ("check-slope --u -3 --v 0 --p 13 --q 1", 0, "9aa69483fad7633d"),
+    ("h1 --u -3 --v 0", 0, "0d53f67a50c98e37"),
+    ("h1 --u -3 --v 0 --p 5 --q 2", 0, "6ffcb262593c63c2"),
+    ("alexander --u -3 --v 0", 0, "c61bf74b90098699"),
+    ("generate --u -1 --v 1", 0, "c81a3ee8e618daae"),
+    ("generate --u -1 --v 1 --mode derive", 0, "3acd25961f37bc3d"),
+    ("verify-proof --u -1 --v 1", 0, "be83f98e86ac8c5b"),
+    ("bound --u -1 --v 1 --longitude corrected", 0, "25d4f2a86deb5e25"),
+    ("check-slope --u -1 --v 1 --p 13 --q 1", 0, "9989992b73353d7b"),
+    ("h1 --u -1 --v 1", 0, "0d53f67a50c98e37"),
+    ("h1 --u -1 --v 1 --p 5 --q 2", 0, "bd4b89787c2aaec5"),
+    ("alexander --u -1 --v 1", 0, "d810eef8967be14e"),
+    ("generate --u 0 --v 0", 0, "ff4574e3fece9995"),
+    ("generate --u 0 --v 0 --mode derive", 0, "3325609eaf230fe1"),
+    ("verify-proof --u 0 --v 0", 0, "5bdac270d984e5fe"),
+    ("bound --u 0 --v 0 --longitude corrected", 0, "06e9d52c1720fca4"),
+    ("check-slope --u 0 --v 0 --p 13 --q 1", 0, "21f7fd53418ea5ec"),
+    ("h1 --u 0 --v 0", 0, "0d53f67a50c98e37"),
+    ("h1 --u 0 --v 0 --p 5 --q 2", 0, "ca7078dde0807f2a"),
+    ("alexander --u 0 --v 0", 0, "c61bf74b90098699"),
+    ("generate --u 2 --v 1", 0, "05a7a4fe99706ff8"),
+    ("generate --u 2 --v 1 --mode derive", 0, "e9f5c337810f6d16"),
+    ("verify-proof --u 2 --v 1", 0, "97949d1ef7a12c99"),
+    ("bound --u 2 --v 1 --longitude corrected", 0, "076320a2a08267b4"),
+    ("check-slope --u 2 --v 1 --p 13 --q 1", 0, "9374535e036a48f2"),
+    ("h1 --u 2 --v 1", 0, "0d53f67a50c98e37"),
+    ("h1 --u 2 --v 1 --p 5 --q 2", 0, "f88c788a0b4d8ec6"),
+    ("alexander --u 2 --v 1", 0, "f1e6914bfcbff780"),
+    ("generate --u 5 --v 2", 0, "c264a8eacfd162a5"),
+    ("generate --u 5 --v 2 --mode derive", 0, "bab0a8ec966d4d60"),
+    ("verify-proof --u 5 --v 2", 0, "06137edd243f6afa"),
+    ("bound --u 5 --v 2 --longitude corrected", 0, "b1ce0aa6fdf3cf34"),
+    ("check-slope --u 5 --v 2 --p 13 --q 1", 0, "9dd666f5085b7c9b"),
+    ("h1 --u 5 --v 2", 0, "0d53f67a50c98e37"),
+    ("h1 --u 5 --v 2 --p 5 --q 2", 0, "3de3b5de52533862"),
+    ("alexander --u 5 --v 2", 0, "15324d18b03f349c"),
+    ("h1 --u 2 --v 1 --p 7", 0, "3161b697a64b2174"),
+    ("h1 --u 2 --v 1 --p 5 --q 2 --longitude corrected", 0, "ca7078dde0807f2a"),
+    ("check-slope --u 2 --v 1 --p 23 --q 1 --longitude corrected", 0, "4d8abf9989271341"),
+    ("wirtinger --builtin", 0, "217a5eba8dbfb111"),
+    ("enumerate --u 0 --v 0 --p 1 --q 1", 0, "efd331900741c876"),
+    ("enumerate --u 0 --v 0 --p 3 --q 1", 0, "0923aa1ddac7e73d"),
+    ("enumerate --u 0 --v 0 --p -1 --q 1 --longitude corrected --max-cosets 20000", 0, "73c4f851c080b8d9"),
+]
+
+
+def test_golden_outputs(capsys, monkeypatch):
+    monkeypatch.delenv("TWISTKNOT_MAX_COSETS", raising=False)
+    for line, code, digest in GOLDEN:
+        got, out, _ = run(capsys, *line.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest), line

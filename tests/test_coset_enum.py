@@ -13,7 +13,7 @@ from twistknot.presentations import (
     invert_relator,
 )
 from twistknot.twisted_torus import TwistParams, closed_form
-from twistknot.words import Generator, word
+from twistknot.words import Generator, Word, word
 
 A = Generator("a")
 B = Generator("b")
@@ -161,6 +161,31 @@ def test_finished_order_consistent_with_homology():
         result = todd_coxeter(p, 100_000)
         if result.finished:
             assert result.order % summary.torsion_order_product == 0
+
+
+def test_random_presentations_agree_with_homology():
+    # a finite group's order is a multiple of |H1|, and H1 of a finite group is
+    # finite; short random relators make most closing runs fold cosets together
+    rng = random.Random(9)
+    gens = (A, B, Generator("c"))
+    exponents = (-3, -2, -1, 1, 2, 3)
+    finished = folded = 0
+    for _ in range(150):
+        used = gens[: rng.randint(1, 3)]
+        relators = tuple(
+            Word((rng.choice(used), rng.choice(exponents)) for _ in range(rng.randint(1, 6)))
+            for _ in range(rng.randint(1, 3))
+        )
+        p = Presentation(used, relators)
+        result = todd_coxeter(p, 500)
+        assert todd_coxeter(p, 500) == result
+        if result.finished:
+            summary = homology(p)
+            assert summary.free_rank == 0, p
+            assert result.order % summary.torsion_order_product == 0, p
+            finished += 1
+            folded += result.cosets_defined > result.order
+    assert finished >= 50 and folded >= finished // 2
 
 
 def test_determinism():

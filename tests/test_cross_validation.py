@@ -11,10 +11,11 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.combinatorics.fp_groups import FpGroup
 from sympy.combinatorics.free_groups import free_group
 
-from conftest import random_word
+from conftest import random_nonempty_word, random_word
 from twistknot.coset_enum import surgered_presentation, todd_coxeter
 from twistknot.criterion import Slope
 from twistknot.presentations import Presentation, alexander_polynomial
@@ -102,6 +103,49 @@ def test_surgery_orders_match_sympy():
         ours = todd_coxeter(p, 100_000)
         assert ours.finished and ours.order == expected
         assert _sympy_order(p.relators) == expected
+
+
+# (k, l, m) with 1/k + 1/l + 1/m > 1, the degree, and permutations a, b with
+# a^k = b^l = (ab)^m = 1 that generate a group as large as the triangle group
+# <a, b | a^k, b^l, (ab)^m>, so by von Dyck they represent it faithfully
+TRIANGLES = {
+    (2, 2, 2): (4, [[0, 1], [2, 3]], [[0, 2], [1, 3]], 4),
+    (2, 2, 3): (3, [[0, 1]], [[1, 2]], 6),
+    (2, 2, 5): (5, [[1, 4], [2, 3]], [[0, 1], [2, 4]], 10),
+    (2, 3, 3): (4, [[0, 1], [2, 3]], [[0, 1, 2]], 12),
+    (2, 3, 4): (4, [[0, 1]], [[1, 2, 3]], 24),
+    (2, 3, 5): (5, [[0, 1], [2, 3]], [[0, 2, 4]], 60),
+    (3, 2, 4): (4, [[1, 2, 3]], [[0, 1]], 24),
+    (5, 3, 2): (5, [[0, 1, 2, 3, 4]], [[0, 3, 1]], 60),
+}
+
+
+def test_random_finite_quotient_orders_match_sympy():
+    # an extra relator folds the triangle group onto a quotient, which the
+    # enumerator reaches through coincidences; sympy's order of the quotient
+    # is |G| / |normal closure|, by Schreier-Sims rather than enumeration
+    rng = random.Random(406)
+    ab = word(("a", 1), ("b", 1))
+    for (k, l, m), (degree, a, b, order) in TRIANGLES.items():
+        perm = {GENS[0]: Permutation(a, size=degree), GENS[1]: Permutation(b, size=degree)}
+
+        def image(w: Word):
+            out = Permutation(degree - 1)
+            for gen, exp in w.runs:
+                out = out * perm[gen] ** exp
+            return out
+
+        relators = (word(("a", k)), word(("b", l)), ab**m)
+        group = PermutationGroup(list(perm.values()))
+        assert group.order() == order and all(image(r).is_Identity for r in relators)
+        for _ in range(4):
+            extra = random_nonempty_word(rng, GENS, 8)
+            if rng.random() < 0.5:
+                # a conjugated relator keeps the whole group
+                extra = rng.choice(relators).conjugate(extra)
+            ours = todd_coxeter(Presentation(GENS, relators + (extra,)), 10_000)
+            assert ours.finished
+            assert ours.order == order // group.normal_closure(image(extra)).order(), extra
 
 
 def test_alexander_matches_sympy_rational_form():

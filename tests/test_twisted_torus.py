@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import twistknot
-from twistknot.presentations import class_in_h1, homology
+from twistknot.presentations import alexander_polynomial, class_in_h1, homology
 from twistknot.twisted_torus import (
     TwistParams,
     _link_prefix,
@@ -139,6 +139,25 @@ def test_block_positivity_vs_reduced_positivity():
         mm = closed_form(TwistParams(u, 3))
         assert mm.w_blocks_positive
         assert is_positive_excluding(mm.w, gens)
+
+
+def test_alexander_polynomial_is_symmetric_with_unit_value():
+    # every knot's Delta satisfies Delta(t^-1) = Delta(t) up to a unit and
+    # Delta(1) = +-1; neither fact depends on the paper's formulas
+    for u in range(-12, 13):
+        for v in range(0, 6):
+            coeffs = alexander_polynomial(closed_form(TwistParams(u, v)).presentation).coeffs
+            top = max(coeffs)
+            assert coeffs == {top - e: c for e, c in coeffs.items()}, (u, v)
+            assert abs(sum(coeffs.values())) == 1, (u, v)
+
+
+def test_derived_alexander_polynomial_matches_closed_form():
+    for u in range(-3, 4):
+        for v in range(0, 5):
+            params = TwistParams(u, v)
+            derived = alexander_polynomial(derive_from_diagram(params).presentation)
+            assert derived == alexander_polynomial(closed_form(params).presentation), (u, v)
 
 
 def test_unknot_member():
