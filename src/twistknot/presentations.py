@@ -287,10 +287,6 @@ class LaurentPolynomial:
         raise AttributeError("LaurentPolynomial is immutable")
 
     @staticmethod
-    def t_power(exp: int, coeff: int = 1) -> "LaurentPolynomial":
-        return LaurentPolynomial({exp: coeff})
-
-    @staticmethod
     def one() -> "LaurentPolynomial":
         return LaurentPolynomial({0: 1})
 

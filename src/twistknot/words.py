@@ -8,7 +8,6 @@ therefore unbounded; nothing in this module can silently overflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
@@ -16,18 +15,24 @@ class SubstitutionError(ValueError):
     """A substitution map is missing a generator that occurs in the word."""
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
-    """A named free-group generator.  Names are compared exactly."""
+class Generator(str):
+    """A named free-group generator.
 
-    name: str
+    A generator is its name: a nonempty ``str`` that compares, hashes and
+    sorts exactly as that name, so ``Generator("a") == "a"``.  Run merging,
+    dict lookups and sorting therefore compare at C level.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    __slots__ = ()
+
+    def __new__(cls, name: str) -> "Generator":
+        if not is_name(name):
             raise ValueError("generator name must be a nonempty string")
+        return super().__new__(cls, name)
 
-    def __str__(self) -> str:
-        return self.name
+    @property
+    def name(self) -> str:
+        return str(self)
 
 
 def is_name(value) -> bool:
@@ -126,13 +131,31 @@ class Word:
         return by * self * by.inverse()
 
     def substitute(self, mapping: Mapping[Generator, "Word"]) -> "Word":
-        """Image under the homomorphism sending each generator to its value."""
-        pairs: list[tuple[Generator, int]] = []
+        """Image under the homomorphism sending each generator to its value.
+
+        Each image ``c core c^-1`` is cyclically reduced once per call; a run
+        ``x^e`` then contributes ``c core^e c^-1`` to one list of runs, and the
+        whole image is freely reduced in a single pass.
+        """
+        parts: dict[Generator, tuple] = {}
+        out: list[tuple[Generator, int]] = []
         for gen, exp in self.runs:
-            if gen not in mapping:
-                raise SubstitutionError(f"no image given for generator {gen.name!r}")
-            pairs.extend((mapping[gen] ** exp).runs)
-        return Word(pairs)
+            part = parts.get(gen)
+            if part is None:
+                if gen not in mapping:
+                    raise SubstitutionError(f"no image given for generator {gen.name!r}")
+                core, conj = mapping[gen].cyclic_reduce()
+                part = parts[gen] = (
+                    core.runs, core.inverse().runs, conj.runs, conj.inverse().runs
+                )
+            core_runs, core_inverse, conj_runs, conj_inverse = part
+            out.extend(conj_runs)
+            if len(core_runs) == 1:
+                out.append((core_runs[0][0], core_runs[0][1] * exp))
+            else:
+                out.extend((core_runs if exp > 0 else core_inverse) * abs(exp))
+            out.extend(conj_inverse)
+        return Word(out)
 
     # -- structure ---------------------------------------------------------
 

@@ -188,6 +188,27 @@ def test_random_presentations_agree_with_homology():
     assert finished >= 50 and folded >= finished // 2
 
 
+@pytest.mark.parametrize(
+    "names, relators, order, cosets_defined",
+    [
+        ("ab", ("b^-4 a^-2 b^-1 a^-5 b^4", "b^-7"), 49, 1104),
+        ("ab", ("b^3 a^2 b a^3", "b^2 a^-3 b^-2"), 12, 36),
+        ("ab", ("a^-7 b^-2", "a^7", "a b^-1 a b^-4 a"), 1, 17),
+        ("abc", ("a^-2 b^-3 a^-1", "c^-1 a^-3 b", "b^-1 c^3"), 33, 186),
+    ],
+)
+def test_coincidence_deduction_pins_cosets_defined(names, relators, order, cosets_defined):
+    # while a dead coset's row is processed, an entry whose slot at the live
+    # coset is empty but whose partner slot is taken is a deduction: the two
+    # cosets it names merge.  Without it these runs still close with the same
+    # order, but define up to 2.3 times as many cosets
+    p = Presentation(tuple(Generator(n) for n in names), tuple(map(Word.parse, relators)))
+    result = todd_coxeter(p, 3000)
+    assert (result.outcome, result.order, result.cosets_defined) == (
+        "finished", order, cosets_defined
+    )
+
+
 def test_determinism():
     model = closed_form(TwistParams(0, 0))
     p = surgered_presentation(model, Slope(5, 1), "paper")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sweep_derivation import check_member, sample
 import twistknot
 from twistknot.presentations import alexander_polynomial, class_in_h1, homology
 from twistknot.twisted_torus import (
@@ -71,6 +72,13 @@ def test_derive_matches_closed_form_spot_checks():
         assert derived.longitude_paper == closed.longitude_paper
         assert derived.s_paper == closed.s_paper
         assert derived.s_corrected == closed.s_corrected
+
+
+def test_wide_derivation_sample():
+    # the four corners of u in [-200, 200] x v in [0, 50] plus 60 seeded
+    # members; tests/sweep_derivation.py run as a script checks the whole box
+    bad = {m: f for m in sample(6, 60) if (f := check_member(*m))}
+    assert not bad
 
 
 def test_derived_twist_residue():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import ABC, random_word
+from conftest import ABC, random_nonempty_word, random_word
 from twistknot.words import (
     Generator,
     SubstitutionError,
@@ -176,6 +176,22 @@ def test_pairs_reject_malformed_input():
             Word.from_pairs(bad)
 
 
+@pytest.mark.parametrize("bad", ["", 5, None])
+def test_generator_rejects_non_names(bad):
+    with pytest.raises(ValueError, match="nonempty string"):
+        Generator(bad)
+
+
+def test_generator_is_its_name():
+    g = Generator("alpha")
+    assert type(g.name) is str and g.name == "alpha"
+    assert Generator("a") == "a" and hash(Generator("a")) == hash("a")
+    assert str(g) == "alpha" and f"{g}^2" == "alpha^2"
+    names = ["xi", "b", "alpha", "a", "psi", "gamma"]
+    assert sorted(map(Generator, names)) == sorted(names)
+    assert Word.parse("b a") == Word([("b", 1), ("a", 1)])
+
+
 _RUNS = st.lists(
     st.tuples(st.sampled_from(("a", "b", "g", "alpha", "delta7")), st.integers(-10**12, 10**12)),
     max_size=8,
@@ -265,6 +281,14 @@ def _ref_pow(w: Word, n: int) -> Word:
     return Word(_letters(w if n >= 0 else w.inverse()) * abs(n))
 
 
+def _ref_substitute(w: Word, mapping) -> Word:
+    out = []
+    for g, e in _letters(w):
+        image = _letters(mapping[g])
+        out.extend(image if e > 0 else [(h, -s) for h, s in reversed(image)])
+    return Word(out)
+
+
 @st.composite
 def _word_pairs(draw):
     names = ("a", "b", "c")[: draw(st.integers(1, 3))]
@@ -285,12 +309,24 @@ def _word_pairs(draw):
     return x, y
 
 
-@given(_word_pairs(), st.integers(-6, 6))
-def test_run_operations_match_letter_reference(pair, n):
+@st.composite
+def _mappings(draw):
+    """Images of a, b and c: one multi-run, one conjugated, one the identity."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    multi = random_nonempty_word(rng, ABC, 8)
+    conjugated = random_nonempty_word(rng, ABC, 4).conjugate(random_word(rng, ABC, 4))
+    images = [multi, conjugated, Word()]
+    rng.shuffle(images)
+    return dict(zip(ABC, images))
+
+
+@given(_word_pairs(), st.integers(-6, 6), _mappings())
+def test_run_operations_match_letter_reference(pair, n, mapping):
     x, y = pair
     assert x.cyclic_reduce() == _ref_cyclic_reduce(x)
     assert is_conjugate(x, y) == _ref_is_conjugate(x, y)
     assert x**n == _ref_pow(x, n)
+    assert x.substitute(mapping) == _ref_substitute(x, mapping)
 
 
 def test_run_operations_never_expand_letters(monkeypatch):
@@ -313,6 +349,13 @@ def test_run_operations_never_expand_letters(monkeypatch):
             is_conjugate(x, y)
         for n in (-3, -1, 0, 1, 2):
             x**n
+    mapping = {
+        A: word(("b", 2), ("c", -1), ("a", 3)),
+        B: word(("a", 4)).conjugate(word(("c", 1), ("b", -2))),
+        C: Word(),
+    }
+    for x in samples:
+        assert x.substitute(mapping) == _ref_substitute(x, mapping)
 
 
 N_HUGE = 10**18
@@ -337,3 +380,8 @@ def test_huge_exponent_powers():
     assert w**-2 == word(("a", -2 * N_HUGE)).conjugate(b)
     ab = word(("a", N_HUGE), ("b", -N_HUGE))
     assert ab**2 == word(("a", N_HUGE), ("b", -N_HUGE), ("a", N_HUGE), ("b", -N_HUGE))
+    c = word(("b", 1), ("c", -2))
+    mapping = {Generator("x"): word(("a", 1)).conjugate(c)}
+    assert word(("x", N_HUGE)).substitute(mapping) == word(("a", N_HUGE)).conjugate(c)
+    mapping = {Generator("x"): word(("a", N_HUGE)).conjugate(c)}
+    assert word(("x", -3)).substitute(mapping) == word(("a", -3 * N_HUGE)).conjugate(c)
