@@ -10,10 +10,8 @@ from .words import (
     Generator,
     SubstitutionError,
     Word,
-    generators,
     is_conjugate,
     is_positive_excluding,
-    reduce_word,
     word,
 )
 from .presentations import (
@@ -24,9 +22,7 @@ from .presentations import (
     add_relators,
     alexander_polynomial,
     class_in_h1,
-    conjugate_relator,
     homology,
-    invert_relator,
     smith_normal_form,
     tietze_eliminate,
 )
@@ -38,7 +34,6 @@ from .wirtinger import (
     add_twist_relations,
     builtin_link_L,
     diagram_from_json,
-    diagram_from_pd_code,
     diagram_to_json,
     peripheral_system,
     wirtinger_presentation,
@@ -66,7 +61,6 @@ from .criterion import (
     decide,
     match_it_shape,
     minimal_integer_bound,
-    parse_longitude,
 )
 from .coset_enum import (
     DEFAULT_MAX_COSETS,

@@ -23,6 +23,8 @@ from .twisted_torus import TwistParams, closed_form, derive_from_diagram, verify
 from .wirtinger import builtin_link_L, diagram_from_json, wirtinger_presentation
 
 MAX_COSETS_ENV = "TWISTKNOT_MAX_COSETS"
+#: ``verify-proof --sweep``'s parameter box flags and their defaults
+_SWEEP_BOX = {"umin": -3, "umax": 3, "vmin": 0, "vmax": 4}
 
 
 def _params(args: argparse.Namespace) -> TwistParams:
@@ -137,10 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("verify-proof", help="replay the derivation's identities")
     _add_uv(s, required=False)
     s.add_argument("--sweep", action="store_true", help="sweep a parameter box, JSONL output")
-    s.add_argument("--umin", type=int, default=-3)
-    s.add_argument("--umax", type=int, default=3)
-    s.add_argument("--vmin", type=int, default=0)
-    s.add_argument("--vmax", type=int, default=4)
+    for flag in _SWEEP_BOX:
+        s.add_argument(f"--{flag}", type=int)
     s.set_defaults(handler=_cmd_verify_proof)
 
     s = sub.add_parser("check-slope", help="criterion verdict for one slope")
@@ -213,6 +213,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify-proof" and not args.sweep and (args.u is None or args.v is None):
         parser.error("verify-proof requires --u and --v unless --sweep is given")
+    if args.command == "verify-proof":
+        flags, mode = (("u", "v"), "without") if args.sweep else (tuple(_SWEEP_BOX), "with")
+        if any(getattr(args, flag) is not None for flag in flags):
+            named = "/".join(f"--{flag}" for flag in flags)
+            print(f"twistknot: verify-proof takes {named} only {mode} --sweep", file=sys.stderr)
+            return 2
+        # the box defaults, filled in only now so that a box flag without --sweep is caught
+        for flag, default in _SWEEP_BOX.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
     if args.command in ("h1", "alexander") and not getattr(args, "presentation", None):
         if args.u is None or args.v is None:
             parser.error(f"{args.command} requires --u and --v or --presentation FILE")

@@ -221,21 +221,7 @@ def match_it_shape(p: Presentation) -> list[ITShape]:
     )
 
 
-# -- longitude form and the decision ------------------------------------------
-
-
-def parse_longitude(x: Word, a: Generator = Generator("a")) -> LongitudeForm:
-    """Split a reduced word as ``a^-s w a^-t`` with maximal outer a-runs."""
-    runs = x.runs
-    if len(runs) < 3 or runs[0][0] != a or runs[-1][0] != a:
-        raise CriterionError(
-            "word does not have the form a^-s w a^-t with a nonempty middle"
-        )
-    s = -runs[0][1]
-    t = -runs[-1][1]
-    w = Word(runs[1:-1])
-    forbidden = w.generator_set() | {a}
-    return LongitudeForm(s=s, t=t, w=w, w_positive=is_positive_excluding(w, forbidden))
+# -- the decision ------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ absolute value, ties broken row-major) so outputs are identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .words import Generator, Word, is_conjugate, is_name
@@ -15,6 +16,11 @@ from .words import Generator, Word, is_conjugate, is_name
 
 class PresentationError(ValueError):
     pass
+
+
+#: Most Fox terms, and widest height span, that ``alexander_polynomial`` expands;
+#: both its Fox derivative and its exact division take that many steps.
+MAX_FOX_TERMS = 10**7
 
 
 @dataclass(frozen=True)
@@ -68,18 +74,6 @@ def add_relators(p: Presentation, rs: Iterable[Word]) -> Presentation:
     return Presentation(p.generators, p.relators + tuple(rs))
 
 
-def conjugate_relator(p: Presentation, index: int, by: Word) -> Presentation:
-    rels = list(p.relators)
-    rels[index] = rels[index].conjugate(by)
-    return Presentation(p.generators, tuple(rels))
-
-
-def invert_relator(p: Presentation, index: int) -> Presentation:
-    rels = list(p.relators)
-    rels[index] = rels[index].inverse()
-    return Presentation(p.generators, tuple(rels))
-
-
 def tietze_eliminate(p: Presentation, gen: Generator, defining: Word) -> Presentation:
     """Remove ``gen``, rewriting every relator with ``gen := defining``.
 
@@ -118,16 +112,15 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(
-    matrix: Sequence[Sequence[int]], nrows: int | None = None, ncols: int | None = None
+    matrix: Sequence[Sequence[int]],
 ) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Return ``(diag, U, V)`` with ``U * matrix * V`` diagonal and U, V unimodular.
 
     ``diag`` lists the nonnegative invariant factors in divisibility order,
-    padded with zeros up to ``min(m, n)``.  Explicit shapes are accepted so
-    empty matrices keep their dimensions.
+    padded with zeros up to ``min(m, n)``.
     """
-    m = len(matrix) if nrows is None else nrows
-    n = (len(matrix[0]) if matrix else 0) if ncols is None else ncols
+    m = len(matrix)
+    n = len(matrix[0]) if matrix else 0
     a = [list(row) for row in matrix]
     u = _identity(m)
     v = _identity(n)
@@ -231,7 +224,7 @@ def _abelianization_snf(p: Presentation):
     nrel = len(p.relators)
     matrix = p.relator_matrix()
     transposed = [[matrix[r][g] for r in range(nrel)] for g in range(ngen)]
-    diag, u, _ = smith_normal_form(transposed, nrows=ngen, ncols=nrel)
+    diag, u, _ = smith_normal_form(transposed)
     rank = sum(1 for d in diag if d)
     return diag, u, rank
 
@@ -298,21 +291,6 @@ class LaurentPolynomial:
 
     def __hash__(self) -> int:
         return hash(tuple(self.coeffs.items()))
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        merged = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            merged[e] = merged.get(e, 0) + c
-        return LaurentPolynomial(merged)
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        merged = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            merged[e] = merged.get(e, 0) - c
-        return LaurentPolynomial(merged)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         acc: dict[int, int] = {}
@@ -420,6 +398,14 @@ def alexander_polynomial(p: Presentation) -> LaurentPolynomial:
     g0, g1 = p.generators
     x, y = (g0, g1) if phi[g1] else (g1, g0)
     rel = p.relators[0]
+    terms = sum(abs(e) for g, e in rel.runs if g == x)
+    heights = list(accumulate((e * phi[g] for g, e in rel.runs), initial=0))
+    span = max(heights) - min(heights)
+    if max(terms, span) > MAX_FOX_TERMS:
+        raise PresentationError(
+            f"Alexander polynomial needs {terms} Fox terms over a height span of {span};"
+            f" the limit is {MAX_FOX_TERMS}"
+        )
     t_minus_1 = LaurentPolynomial({1: 1, 0: -1})
     denom = LaurentPolynomial({phi[y]: 1, 0: -1})
     numer = _fox_image(rel, x, phi) * t_minus_1

@@ -12,7 +12,7 @@ in their intended display rotations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .presentations import Presentation, PresentationError, add_relators
 from .words import Generator, Word, is_integer, is_name, word
@@ -111,15 +111,11 @@ class LinkDiagram:
                         f"component order inconsistent at arc {arc!r}"
                     )
 
-    def component_index(self, key: int | str) -> int:
-        if isinstance(key, int):
-            if not 0 <= key < len(self.components):
-                raise DiagramError(f"no component {key}")
-            return key
+    def component_index(self, name: str) -> int:
         try:
-            return self.component_names.index(key)
+            return self.component_names.index(name)
         except ValueError:
-            raise DiagramError(f"no component named {key!r}") from None
+            raise DiagramError(f"no component named {name!r}") from None
 
 
 def wirtinger_presentation(d: LinkDiagram) -> Presentation:
@@ -137,7 +133,7 @@ class PeripheralSystem:
     framing_class: int
 
 
-def peripheral_system(d: LinkDiagram, component: int | str) -> PeripheralSystem:
+def peripheral_system(d: LinkDiagram, component: str) -> PeripheralSystem:
     """Meridian and diagram longitude of one component.
 
     The meridian is the component's first arc generator.  The longitude is the
@@ -307,72 +303,3 @@ def diagram_from_json(data: Mapping) -> LinkDiagram:
         ),
         component_names=tuple(names),
     )
-
-
-def diagram_from_pd_code(code: Sequence[Sequence[int]]) -> LinkDiagram:
-    """Build a diagram from a planar diagram code of a knot.
-
-    Each entry ``(a, b, c, d)`` lists the edges counterclockwise from the
-    incoming under-edge ``a``; the under strand runs ``a -> c`` and the over
-    strand runs ``b -> d`` (positive crossing) or ``d -> b`` (negative).
-    Edges must be numbered 1..2n along the knot; multi-component codes are
-    rejected since their edge numbering does not determine orientations.
-    """
-    n = len(code)
-    if n == 0:
-        raise DiagramError("empty PD code")
-    total = 2 * n
-    parent = list(range(total + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    entries = []
-    for row in code:
-        if len(row) != 4:
-            raise DiagramError(f"PD entry must have 4 edges, got {row!r}")
-        a, b, c, d = (int(x) for x in row)
-        for e in (a, b, c, d):
-            if not 1 <= e <= total:
-                raise DiagramError(f"edge {e} outside 1..{total}")
-        if d == b % total + 1:
-            sign = 1
-        elif b == d % total + 1:
-            sign = -1
-        else:
-            raise DiagramError(
-                "PD code is not a consecutively numbered knot code "
-                f"(crossing {row!r})"
-            )
-        entries.append((a, b, c, d, sign))
-        ra, rb = find(b), find(d)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    def arc_name(edge: int) -> str:
-        return f"a{find(edge)}"
-
-    arcs = sorted({arc_name(e) for e in range(1, total + 1)}, key=lambda s: int(s[1:]))
-    crossings = tuple(
-        Crossing(
-            id=f"X{i + 1}",
-            over=arc_name(b),
-            under_in=arc_name(a),
-            under_out=arc_name(c),
-            sign=sign,
-        )
-        for i, (a, b, c, d, sign) in enumerate(entries)
-    )
-    nxt = {c.under_in: c.under_out for c in crossings}
-    start = arcs[0]
-    cycle = [start]
-    while nxt[cycle[-1]] != start:
-        cycle.append(nxt[cycle[-1]])
-        if len(cycle) > len(arcs):
-            raise DiagramError("under-strand successor map is not a cycle")
-    if len(cycle) != len(arcs):
-        raise DiagramError("PD code describes a link, not a knot")
-    return LinkDiagram(arcs=tuple(arcs), components=(tuple(cycle),), crossings=crossings)

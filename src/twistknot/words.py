@@ -45,10 +45,6 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def generators(*names: str) -> tuple[Generator, ...]:
-    return tuple(Generator(n) for n in names)
-
-
 def _reduce_runs(pairs: Iterable[tuple[Generator, int]]) -> tuple[tuple[Generator, int], ...]:
     """Merge adjacent runs of the same generator and drop zero exponents."""
     out: list[tuple[Generator, int]] = []
@@ -220,11 +216,6 @@ class Word:
 def word(*pairs: tuple[str | Generator, int]) -> Word:
     """Build a word from ``(generator, exponent)`` pairs; names are accepted."""
     return Word((g if isinstance(g, Generator) else Generator(g), e) for g, e in pairs)
-
-
-def reduce_word(letters: Iterable[tuple[Generator, int]]) -> Word:
-    """Freely reduce a raw letter/run sequence into normal form."""
-    return Word(letters)
 
 
 def is_conjugate(x: Word, y: Word) -> bool:

@@ -9,16 +9,14 @@ import time
 
 import pytest
 
-from conftest import random_word
+from conftest import conjugate_relator, invert_relator, random_word
 from twistknot.coset_enum import surgered_presentation, todd_coxeter
 from twistknot.criterion import Slope, check_family_slope, match_it_shape, minimal_integer_bound
 from twistknot.presentations import (
     Presentation,
     add_relators,
     alexander_polynomial,
-    conjugate_relator,
     homology,
-    invert_relator,
     tietze_eliminate,
 )
 from twistknot.twisted_torus import TwistParams, closed_form, derive_from_diagram, verify_proof

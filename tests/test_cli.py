@@ -2,9 +2,17 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from twistknot import presentations
 from twistknot.cli import main
-from twistknot.wirtinger import builtin_link_L, diagram_to_json
+from twistknot.presentations import Presentation
+from twistknot.wirtinger import (
+    builtin_link_L,
+    diagram_from_json,
+    diagram_to_json,
+    wirtinger_presentation,
+)
 
 
 def run(capsys, *argv):
@@ -308,6 +316,101 @@ def test_malformed_diagram_file_exits_1(tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data), encoding="utf-8")
         _one_line_error(capsys, ["wirtinger", "--diagram", str(bad)], 1)
+
+
+# JSON values of every kind, weighted towards the keys and names of the
+# presentation and diagram formats so that parsing gets past the first check
+_NAMES = st.sampled_from(["a", "b", "x", "", "in_first", "out_first", "conj_first"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _NAMES | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(
+            ["generators", "relators", "arcs", "components", "component_names", "crossings",
+             "id", "over", "under_in", "under_out", "sign", "form"]
+        ) | st.text(max_size=2),
+        inner,
+        max_size=6,
+    ),
+    max_leaves=30,
+)
+_RUN = st.tuples(_NAMES, st.integers()).map(list)
+_CROSSING = st.fixed_dictionaries(
+    {key: _NAMES for key in ("id", "over", "under_in", "under_out")}
+    | {"sign": st.sampled_from([1, -1, 0, True])},
+    optional={"form": _NAMES},
+)
+_HOSTILE = st.one_of(
+    _JSON,
+    st.fixed_dictionaries(
+        {
+            "generators": st.lists(_NAMES, max_size=3),
+            "relators": st.lists(st.lists(_RUN | _JSON, max_size=3), max_size=3),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "arcs": st.lists(_NAMES, max_size=3),
+            "components": st.lists(st.lists(_NAMES, max_size=3), max_size=2),
+            "crossings": st.lists(_CROSSING, max_size=3),
+        },
+        optional={"component_names": st.lists(_NAMES, max_size=2)},
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_HOSTILE)
+def test_hostile_json_gives_a_value_or_a_value_error(data):
+    # the two readers behind --presentation and --diagram: anything else that
+    # escapes them would end the command in a traceback
+    for read in (Presentation.from_json, lambda d: wirtinger_presentation(diagram_from_json(d))):
+        try:
+            read(data)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-proof", "--sweep", "--u", "1"],
+        ["verify-proof", "--sweep", "--umax", "0", "--v", "0"],
+        ["verify-proof", "--u", "0", "--v", "0", "--umin", "-1"],
+        ["verify-proof", "--u", "0", "--v", "0", "--vmax", "2"],
+    ],
+)
+def test_verify_proof_ignored_flags_are_usage_error(capsys, argv):
+    _one_line_error(capsys, argv, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["alexander", "--presentation", "huge.json"], ["alexander", "--u", str(10**12), "--v", "0"]],
+)
+def test_alexander_refuses_huge_fox_expansion(tmp_path, capsys, monkeypatch, argv):
+    # 10^12 Fox terms, or a height span of 2*10^12: refused before any loop
+    monkeypatch.chdir(tmp_path)
+    relator = [["a", 10**12], ["b", -1]]
+    (tmp_path / "huge.json").write_text(
+        json.dumps({"generators": ["a", "b"], "relators": [relator]}), encoding="utf-8"
+    )
+    _one_line_error(capsys, argv, 1)
+
+
+def test_alexander_term_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    # a^n b^-1 presents Z, so Delta = 1; n Fox terms over a height span n
+    monkeypatch.setattr(presentations, "MAX_FOX_TERMS", 10)
+    path = tmp_path / "p.json"
+    outcomes = []
+    for n in (10, 11):
+        path.write_text(
+            json.dumps({"generators": ["a", "b"], "relators": [[["a", n], ["b", -1]]]}),
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, "alexander", "--presentation", str(path))
+        outcomes.append((code, json.loads(out)["text"] if code == 0 else out))
+    assert outcomes == [(0, "1"), (1, "")]
 
 
 def test_unwritable_ledger_exits_1(tmp_path, capsys):

@@ -2,16 +2,10 @@ import random
 
 import pytest
 
-from conftest import random_word
+from conftest import conjugate_relator, invert_relator, random_word
 from twistknot.coset_enum import surgered_presentation, todd_coxeter
 from twistknot.criterion import CriterionError, Slope
-from twistknot.presentations import (
-    Presentation,
-    PresentationError,
-    conjugate_relator,
-    homology,
-    invert_relator,
-)
+from twistknot.presentations import Presentation, PresentationError, homology
 from twistknot.twisted_torus import TwistParams, closed_form
 from twistknot.words import Generator, Word, word
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_word
+from conftest import conjugate_relator, invert_relator, random_word
 from twistknot.criterion import (
     CriterionError,
     LongitudeForm,
@@ -12,9 +12,8 @@ from twistknot.criterion import (
     decide,
     match_it_shape,
     minimal_integer_bound,
-    parse_longitude,
 )
-from twistknot.presentations import Presentation, conjugate_relator, invert_relator
+from twistknot.presentations import Presentation
 from twistknot.twisted_torus import TwistParams, closed_form
 from twistknot.words import Generator, Word, is_conjugate, word
 
@@ -197,36 +196,6 @@ def test_match_finds_every_shape_a_brute_force_finds():
             (s.a.name, s.m, s.n, s.r, s.k, s.w1.runs, s.w2.runs) for s in match_it_shape(p)
         }
         assert got == _brute_force_keys(p), p.relators[0]
-
-
-def test_parse_longitude_examples():
-    form = parse_longitude(word(("a", -7), ("b", 3), ("a", 1)))
-    assert (form.s, form.t) == (7, -1)
-    assert form.w == word(("b", 3))
-    assert form.w_positive
-
-    form = parse_longitude(word(("a", -5), ("b", 1), ("a", 1)))
-    assert (form.s, form.t) == (5, -1)
-    assert form.w == word(("b", 1))
-    assert form.w_positive
-
-    form = parse_longitude(word(("a", -3), ("b", -1), ("a", 1)))
-    assert not form.w_positive
-
-
-def test_parse_longitude_rejects_wrong_shape():
-    with pytest.raises(CriterionError):
-        parse_longitude(word(("a", 5)))
-    with pytest.raises(CriterionError):
-        parse_longitude(word(("b", 1), ("a", 1)))
-
-
-def test_parse_longitude_custom_meridian_generator():
-    x = Generator("x")
-    form = parse_longitude(word(("x", -2), ("y", 4), ("x", 3)), a=x)
-    assert (form.s, form.t) == (2, -3)
-    assert form.w == word(("y", 4))
-    assert form.w_positive
 
 
 def test_decide_hypothesis_order():

@@ -1,4 +1,5 @@
-"""The package's modules import each other in one direction only."""
+"""The package's modules import each other in one direction only, and the
+package exports a fixed set of public names."""
 
 import ast
 from pathlib import Path
@@ -53,3 +54,34 @@ def test_imports_go_down_the_layers():
             if RANK[target] >= RANK[path.stem]:
                 upward.append(f"{path.stem} imports {target}")
     assert upward == []
+
+
+#: ``twistknot.__all__``: every name the package facade exports, its
+#: submodules included.  A change that adds or drops a public name edits this
+#: set and says why in CHANGES.md.
+PUBLIC_NAMES = {
+    # submodules
+    "coset_enum", "criterion", "presentations", "twisted_torus", "wirtinger", "words",
+    # words
+    "Generator", "SubstitutionError", "Word", "is_conjugate", "is_positive_excluding", "word",
+    # presentations
+    "HomologySummary", "LaurentPolynomial", "Presentation", "PresentationError",
+    "add_relators", "alexander_polynomial", "class_in_h1", "homology",
+    "smith_normal_form", "tietze_eliminate",
+    # wirtinger
+    "Crossing", "DiagramError", "LinkDiagram", "PeripheralSystem", "add_twist_relations",
+    "builtin_link_L", "diagram_from_json", "diagram_to_json", "peripheral_system",
+    "wirtinger_presentation",
+    # twisted_torus
+    "KnotGroupModel", "PipelineError", "ProofCheck", "ProofReport", "SubstitutionChain",
+    "TwistParams", "closed_form", "derive_from_diagram", "substitution_chain", "verify_proof",
+    # criterion
+    "CriterionError", "CriterionReport", "ITShape", "LongitudeForm", "Slope", "Verdict",
+    "check_family_slope", "decide", "match_it_shape", "minimal_integer_bound",
+    # coset_enum
+    "DEFAULT_MAX_COSETS", "EnumerationResult", "surgered_presentation", "todd_coxeter",
+}
+
+
+def test_public_surface_is_pinned():
+    assert set(twistknot.__all__) == PUBLIC_NAMES

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ABC, random_word
+from conftest import ABC, conjugate_relator, invert_relator, random_word
 from twistknot.presentations import (
     HomologySummary,
     LaurentPolynomial,
@@ -12,9 +12,7 @@ from twistknot.presentations import (
     add_relators,
     alexander_polynomial,
     class_in_h1,
-    conjugate_relator,
     homology,
-    invert_relator,
     smith_normal_form,
     tietze_eliminate,
 )
@@ -173,12 +171,6 @@ def test_snf_invariant_factors_shuffle_independent():
         shuffled = [[row[c] for c in cols] for row in shuffled]
         diag2, _, _ = smith_normal_form(shuffled)
         assert diag == diag2
-
-
-def test_snf_empty_matrix():
-    diag, u, v = smith_normal_form([], nrows=0, ncols=3)
-    assert diag == []
-    assert len(v) == 3
 
 
 # -- Tietze moves preserve homology ----------------------------------------------

@@ -108,9 +108,13 @@ def test_verify_proof_nullhomology_discrepancy(u, v, klass):
 
 
 def test_longitude_class_is_twice_u():
+    a = word(("a", 1))
     for u in range(-3, 4):
         for v in range(0, 3):
             m = closed_form(TwistParams(u, v))
+            # each longitude reads a^-s w a^-t with the reported s, t and w
+            for use in ("paper", "corrected"):
+                assert m.longitude(use) == a ** -m.s_value(use) * m.w * a ** -m.t
             assert class_in_h1(m.presentation, m.longitude_paper) == (2 * u,)
             assert class_in_h1(m.presentation, m.longitude_corrected) == (0,)
             assert m.s_corrected - m.s_paper == 2 * u

@@ -10,7 +10,6 @@ from twistknot.wirtinger import (
     add_twist_relations,
     builtin_link_L,
     diagram_from_json,
-    diagram_from_pd_code,
     diagram_to_json,
     peripheral_system,
     wirtinger_presentation,
@@ -144,9 +143,7 @@ def test_add_twist_relations_rejects_negative_v():
 def _matrix_rank(p: Presentation) -> int:
     from twistknot.presentations import smith_normal_form
 
-    diag, _, _ = smith_normal_form(
-        p.relator_matrix(), nrows=len(p.relators), ncols=len(p.generators)
-    )
+    diag, _, _ = smith_normal_form(p.relator_matrix())
     return sum(1 for x in diag if x)
 
 
@@ -155,7 +152,7 @@ def test_wirtinger_rank_bound():
     diagrams = [
         builtin_link_L(),
         _trefoil_diagram(),
-        diagram_from_pd_code([(4, 2, 5, 1), (8, 6, 1, 5), (6, 3, 7, 4), (2, 7, 3, 8)]),
+        diagram_from_json(FIGURE_EIGHT),
     ]
     for d in diagrams:
         p = wirtinger_presentation(d)
@@ -251,8 +248,36 @@ def _eliminate_to_two_generators(d: LinkDiagram, p: Presentation) -> Presentatio
     return q
 
 
+def _crossings(*rows) -> list[dict]:
+    keys = ("id", "over", "under_in", "under_out", "sign")
+    return [dict(zip(keys, row)) for row in rows]
+
+
+# diagram JSON (the format ``wirtinger --diagram`` reads) of the knots with PD
+# codes [(1,4,2,5), (3,6,4,1), (5,2,6,3)] and
+# [(4,2,5,1), (8,6,1,5), (6,3,7,4), (2,7,3,8)]; arc aN is named after its
+# lowest-numbered PD edge
+TREFOIL = {
+    "arcs": ["a1", "a2", "a4"],
+    "components": [["a1", "a2", "a4"]],
+    "crossings": _crossings(
+        ("X1", "a4", "a1", "a2", 1), ("X2", "a1", "a2", "a4", 1), ("X3", "a2", "a4", "a1", 1)
+    ),
+}
+FIGURE_EIGHT = {
+    "arcs": ["a1", "a3", "a5", "a7"],
+    "components": [["a1", "a3", "a5", "a7"]],
+    "crossings": _crossings(
+        ("X1", "a1", "a3", "a5", -1),
+        ("X2", "a5", "a7", "a1", -1),
+        ("X3", "a3", "a5", "a7", 1),
+        ("X4", "a7", "a1", "a3", 1),
+    ),
+}
+
+
 def test_pd_code_trefoil():
-    d = diagram_from_pd_code([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])
+    d = diagram_from_json(TREFOIL)
     assert len(d.components) == 1
     p = wirtinger_presentation(d)
     assert homology(p).free_rank == 1
@@ -263,20 +288,10 @@ def test_pd_code_trefoil():
 
 
 def test_pd_code_figure_eight():
-    d = diagram_from_pd_code([(4, 2, 5, 1), (8, 6, 1, 5), (6, 3, 7, 4), (2, 7, 3, 8)])
+    d = diagram_from_json(FIGURE_EIGHT)
     p = wirtinger_presentation(d)
     assert homology(p).free_rank == 1
     q = _eliminate_to_two_generators(d, p)
     rels = [r for r in q.relators if not r.is_identity]
     keep = Presentation(q.generators, (rels[0],))
     assert alexander_polynomial(keep) == LaurentPolynomial({0: 1, 1: -3, 2: 1})
-
-
-def test_pd_code_rejects_bad_input():
-    with pytest.raises(DiagramError):
-        diagram_from_pd_code([])
-    with pytest.raises(DiagramError):
-        diagram_from_pd_code([(1, 2, 3)])
-    # two-component code: edge numbering is not consecutive along one strand
-    with pytest.raises(DiagramError):
-        diagram_from_pd_code([(1, 3, 2, 4), (3, 1, 4, 2)])

@@ -10,7 +10,6 @@ from twistknot.words import (
     Word,
     is_conjugate,
     is_positive_excluding,
-    reduce_word,
     word,
 )
 
@@ -24,7 +23,7 @@ def test_reduce_cancellation():
 
 
 def test_reduce_empty_input_is_identity():
-    assert reduce_word([]).is_identity
+    assert Word([]).is_identity
 
 
 def test_reduce_power_identity():
