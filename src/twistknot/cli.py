@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
-from typing import Any
+from typing import Any, NoReturn
 
 from . import __version__
 from .coset_enum import DEFAULT_MAX_COSETS, surgered_presentation, todd_coxeter
@@ -22,9 +21,19 @@ from .presentations import Presentation, alexander_polynomial, homology
 from .twisted_torus import TwistParams, closed_form, derive_from_diagram, verify_proof
 from .wirtinger import builtin_link_L, diagram_from_json, wirtinger_presentation
 
-MAX_COSETS_ENV = "TWISTKNOT_MAX_COSETS"
 #: ``verify-proof --sweep``'s parameter box flags and their defaults
 _SWEEP_BOX = {"umin": -3, "umax": 3, "vmin": 0, "vmax": 4}
+
+
+class _UsageError(Exception):
+    """A command line that cannot run as given; ``main`` prints it and returns 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raise argparse's own usage errors instead of printing usage and exiting."""
+
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _params(args: argparse.Namespace) -> TwistParams:
@@ -32,7 +41,7 @@ def _params(args: argparse.Namespace) -> TwistParams:
 
 
 def _presentation_for(args: argparse.Namespace) -> Presentation:
-    if getattr(args, "presentation", None):
+    if getattr(args, "presentation", None) is not None:
         with open(args.presentation, "r", encoding="utf-8") as fh:
             return Presentation.from_json(json.load(fh))
     model = closed_form(_params(args))
@@ -46,7 +55,7 @@ def _presentation_for(args: argparse.Namespace) -> Presentation:
 
 
 def _cmd_wirtinger(args) -> dict:
-    if args.diagram:
+    if args.diagram is not None:
         with open(args.diagram, "r", encoding="utf-8") as fh:
             diagram = diagram_from_json(json.load(fh))
     else:
@@ -62,11 +71,8 @@ def _cmd_generate(args) -> dict:
 
 def _cmd_verify_proof(args) -> Any:
     if args.sweep:
-        reports = []
-        for u in range(args.umin, args.umax + 1):
-            for v in range(args.vmin, args.vmax + 1):
-                reports.append(verify_proof(TwistParams(u, v)).to_json())
-        return reports
+        us, vs = range(args.umin, args.umax + 1), range(args.vmin, args.vmax + 1)
+        return [verify_proof(TwistParams(u, v)).to_json() for u in us for v in vs]
     return verify_proof(_params(args)).to_json()
 
 
@@ -88,9 +94,7 @@ def _cmd_alexander(args) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
-    model = closed_form(_params(args))
-    pres = surgered_presentation(model, Slope(args.p, args.q), args.longitude)
-    return todd_coxeter(pres, args.max_cosets).to_json()
+    return todd_coxeter(_presentation_for(args), args.max_cosets).to_json()
 
 
 # -- parser -------------------------------------------------------------------
@@ -116,7 +120,7 @@ def _add_longitude(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twistknot",
         description="Knot group presentations of twisted torus knots and the "
         "non-left-orderability slope criterion.",
@@ -171,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_uv(s)
     _add_slope(s)
     _add_longitude(s)
-    s.add_argument("--max-cosets", type=int, default=None)
+    s.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
     s.set_defaults(handler=_cmd_enumerate)
 
     return parser
@@ -208,45 +212,47 @@ def _append_ledger(path: str, command: str, params: dict, payload: Any) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify-proof" and not args.sweep and (args.u is None or args.v is None):
-        parser.error("verify-proof requires --u and --v unless --sweep is given")
-    if args.command == "verify-proof":
-        flags, mode = (("u", "v"), "without") if args.sweep else (tuple(_SWEEP_BOX), "with")
-        if any(getattr(args, flag) is not None for flag in flags):
-            named = "/".join(f"--{flag}" for flag in flags)
-            print(f"twistknot: verify-proof takes {named} only {mode} --sweep", file=sys.stderr)
-            return 2
-        # the box defaults, filled in only now so that a box flag without --sweep is caught
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse a flag the command would ignore or a missing one it needs, then fill in the
+    defaults held back so that a flag given without the one it qualifies is caught."""
+
+    def given(*flags: str) -> str:
+        return "/".join(f"--{flag}" for flag in flags if getattr(args, flag, None) is not None)
+
+    def refuse(message: str) -> NoReturn:
+        raise _UsageError(f"twistknot {args.command}: {message}")
+
+    command, sweep = args.command, getattr(args, "sweep", False)
+    if given("presentation") and given("u", "v", "p", "q", "longitude"):
+        refuse("takes --presentation FILE or --u/--v/--p, not both")
+    if command in ("verify-proof", "h1", "alexander") and not (sweep or given("presentation")):
+        if args.u is None or args.v is None:
+            either = "--sweep" if command == "verify-proof" else "--presentation FILE"
+            refuse(f"requires --u and --v or {either}")
+    if command == "verify-proof":
+        ignored = given("u", "v") if sweep else given(*_SWEEP_BOX)
+        if ignored:
+            refuse(f"takes {ignored} only {'without' if sweep else 'with'} --sweep")
         for flag, default in _SWEEP_BOX.items():
             if getattr(args, flag) is None:
                 setattr(args, flag, default)
-    if args.command in ("h1", "alexander") and not getattr(args, "presentation", None):
-        if args.u is None or args.v is None:
-            parser.error(f"{args.command} requires --u and --v or --presentation FILE")
-    if getattr(args, "presentation", None) and any(
-        getattr(args, flag, None) is not None for flag in ("u", "v", "p", "q", "longitude")
-    ):
-        parser.error(f"{args.command} takes --presentation FILE or --u/--v/--p, not both")
-    if args.command == "h1":
-        if args.p is None and (args.q is not None or args.longitude is not None):
-            print("twistknot: h1 takes --q and --longitude only with --p", file=sys.stderr)
-            return 2
-        # h1's slope defaults, filled in only now so that a flag without --p is caught
+    if command == "h1":
+        if args.p is None and given("q", "longitude"):
+            refuse(f"takes {given('q', 'longitude')} only with --p")
         args.q = 1 if args.q is None else args.q
         args.longitude = args.longitude or "paper"
-    if args.command == "enumerate" and args.max_cosets is None:
-        raw = os.environ.get(MAX_COSETS_ENV)
-        try:
-            args.max_cosets = int(raw) if raw else DEFAULT_MAX_COSETS
-        except ValueError:
-            print(f"twistknot: {MAX_COSETS_ENV} must be an integer, got {raw!r}", file=sys.stderr)
-            return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+        _check_flags(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         payload = args.handler(args)
-        if args.ledger:
+        if args.ledger is not None:
             records = payload if isinstance(payload, list) else [payload]
             for record in records:
                 _append_ledger(args.ledger, args.command, _ledger_params(args), record)

@@ -19,8 +19,9 @@ class PresentationError(ValueError):
 
 
 #: Most Fox terms, and widest height span, that ``alexander_polynomial`` expands;
-#: both its Fox derivative and its exact division take that many steps.
-MAX_FOX_TERMS = 10**7
+#: both its Fox derivative and its exact division take that many steps, and a
+#: span of 10^6 already peaks near 440 MiB.
+MAX_FOX_TERMS = 10**6
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistknot import presentations
-from twistknot.cli import main
+from twistknot.cli import build_parser, main
 from twistknot.presentations import Presentation
 from twistknot.wirtinger import (
     builtin_link_L,
@@ -19,6 +23,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _one_line_error(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    return err
 
 
 def test_bound_command(capsys):
@@ -125,14 +137,6 @@ def test_enumerate_command(capsys):
     assert "cosets_defined" in data
 
 
-def test_enumerate_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("TWISTKNOT_MAX_COSETS", "123")
-    code, out, _ = run(capsys, "enumerate", "--u", "0", "--v", "0", "--p", "-5", "--q", "1")
-    data = json.loads(out)
-    assert data["outcome"] == "exceeded"
-    assert data["limit"] == 123
-
-
 def test_wirtinger_builtin(capsys):
     code, out, _ = run(capsys, "wirtinger", "--builtin")
     data = json.loads(out)
@@ -170,12 +174,17 @@ def test_ledger_appends_records(tmp_path, capsys):
 
 
 def test_usage_error_exits_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["no-such-command"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["generate", "--u", "0"])
-    assert info.value.code == 2
+    # argparse's own errors, like the flag rules, are one line and a return
+    for argv in (["no-such-command"], ["generate", "--u", "0"], ["bound", "--u", "x", "--v", "0"],
+                 ["h1"], ["h1", "--u", "1"], []):
+        _one_line_error(capsys, argv, 2)
+
+
+def test_enumerate_refuses_an_oversized_coset_budget(capsys):
+    # refused before any coset is defined; an infinite filling such as 12/1 would
+    # fill memory with this budget, so the finite 1/1 keeps a regression quick
+    argv = ["enumerate", "--u", "0", "--v", "0", "--p", "1", "--q", "1"]
+    assert "max_cosets" in _one_line_error(capsys, [*argv, "--max-cosets", str(10**10)], 1)
 
 
 def test_computation_error_exits_1(capsys):
@@ -197,9 +206,7 @@ def test_text_format(capsys):
 
 
 def test_verify_proof_usage_error_without_params(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["verify-proof"])
-    assert info.value.code == 2
+    _one_line_error(capsys, ["verify-proof"], 2)
 
 
 def test_wirtinger_minimal_schema_diagram(tmp_path, capsys):
@@ -220,19 +227,6 @@ def test_wirtinger_minimal_schema_diagram(tmp_path, capsys):
     data = json.loads(out)
     assert data["generators"] == ["x", "y", "z"]
     assert data["relators"][0] == [["x", 1], ["z", 1], ["y", -1], ["z", -1]]
-
-
-def _one_line_error(capsys, argv, code):
-    got, out, err = run(capsys, *argv)
-    assert got == code
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-
-
-def test_non_integer_coset_budget_env_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("TWISTKNOT_MAX_COSETS", "abc")
-    argv = ["enumerate", "--u", "0", "--v", "0", "--p", "5", "--q", "1"]
-    _one_line_error(capsys, argv, 2)
 
 
 @pytest.mark.parametrize(
@@ -263,12 +257,7 @@ def test_enumerate_overlong_relators_exit_1(capsys, argv):
 def test_presentation_file_with_parameters_is_usage_error(tmp_path, capsys, argv):
     path = tmp_path / "presentation.json"
     path.write_text(json.dumps({"generators": ["a"], "relators": [[["a", 6]]]}), encoding="utf-8")
-    with pytest.raises(SystemExit) as info:
-        main([*argv, "--presentation", str(path)])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--presentation" in captured.err.splitlines()[-1]
+    assert "--presentation" in _one_line_error(capsys, [*argv, "--presentation", str(path)], 2)
 
 
 @pytest.mark.parametrize(
@@ -386,10 +375,15 @@ def test_verify_proof_ignored_flags_are_usage_error(capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["alexander", "--presentation", "huge.json"], ["alexander", "--u", str(10**12), "--v", "0"]],
+    [
+        ["alexander", "--presentation", "huge.json"],
+        ["alexander", "--u", str(10**12), "--v", "0"],
+        ["alexander", "--u", "499999", "--v", "0"],
+    ],
 )
 def test_alexander_refuses_huge_fox_expansion(tmp_path, capsys, monkeypatch, argv):
-    # 10^12 Fox terms, or a height span of 2*10^12: refused before any loop
+    # 10^12 Fox terms, or a height span of 2*10^12 or of 1,000,002: refused
+    # before any loop, where the last would peak well above 400 MiB
     monkeypatch.chdir(tmp_path)
     relator = [["a", 10**12], ["b", -1]]
     (tmp_path / "huge.json").write_text(
@@ -424,6 +418,79 @@ def test_verify_proof_displays_psi_rotated_equations(capsys):
     checks = json.loads(out)["checks"]
     assert checks[2]["details"]["equation_1"] == "h^-3 g^2 h^-1 g h^-1 g^2 h^-2 g^-1 h g^-1 h"
     assert checks[3]["details"]["equation_2"] == "g^-2 h^2 g h^-1 g h^2 g^-2 h g^-1 h"
+
+
+_PARSER = build_parser()
+#: subcommand name -> its parser
+_SUBPARSERS = next(a.choices for a in _PARSER._actions if isinstance(a.choices, dict))
+# integers stay in [-8, 8] because check-slope's shape matching costs Theta(u^2)
+_INT = st.integers(-8, 8).map(str)
+_JUNK = st.sampled_from(["x", "", "1.5", "--"])
+#: any single token: a subcommand, any parser's flag, an integer or junk
+_ANY = _INT | _JUNK | st.sampled_from(
+    sorted({*_SUBPARSERS} | {f for p in (_PARSER, *_SUBPARSERS.values())
+                             for a in p._actions for f in a.option_strings})
+)
+
+
+def _one_in(n, rare, common):
+    """``rare`` one time in ``n``, ``common`` the rest."""
+    return st.integers(1, n).flatmap(lambda k: rare if k == n else common)
+
+
+def _flags(parser):
+    """``parser``'s flags but -h/--help, each given three times in four, with a
+    value that is junk one time in eight: ``[[flag, value], [flag], ...]``."""
+    chunks = []
+    for action in parser._actions:
+        if action.option_strings in ([], ["-h", "--help"]):
+            continue
+        if action.nargs == 0:
+            value = st.just([])
+        else:
+            valid = (st.sampled_from(sorted(action.choices)) if action.choices
+                     else _INT if action.type is int else st.just("x"))
+            value = _one_in(8, _JUNK, valid).map(lambda v: [v])
+        flag = action.option_strings[0]
+        chunks.append(_one_in(4, st.just([]), value.map(lambda v, flag=flag: [[flag, *v]])))
+    return st.tuples(*chunks).map(lambda parts: sum(parts, []))
+
+
+def _argv(command):
+    """``command`` with some of its flags and one time in four a stray token, in
+    any order; ``enumerate`` gets 2000 cosets, which a later flag can only lower."""
+    budget = ["--max-cosets", "2000"] if command == "enumerate" else []
+    stray = _one_in(4, _ANY.map(lambda token: [[token]]), st.just([]))
+    rest = st.tuples(_flags(_SUBPARSERS[command]), stray).flatmap(
+        lambda p: st.permutations(p[0] + p[1])
+    )
+    return st.tuples(_flags(_PARSER), rest).map(
+        lambda p: [*sum(p[0], []), command, *budget, *sum(p[1], [])]
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_SUBPARSERS)).flatmap(_argv))
+def test_arbitrary_argv_ends_in_a_result_or_one_line_error(argv):
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        # "x" names a readable presentation, so --presentation/--diagram/--ledger x get past open()
+        with open(os.path.join(tmp, "x"), "w", encoding="utf-8") as fh:
+            json.dump({"generators": ["a"], "relators": [[["a", 6]]]}, fh)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 0 and {"-h", "--help"} & set(argv), argv
+        finally:
+            os.chdir(cwd)
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        assert code in (1, 2) and out.getvalue() == "", argv
+        assert len(err.getvalue().splitlines()) == 1 and "Traceback" not in err.getvalue(), argv
 
 
 # argv -> (exit code, first 16 hex digits of sha256(stdout)); an output that
@@ -479,8 +546,7 @@ GOLDEN = [
 ]
 
 
-def test_golden_outputs(capsys, monkeypatch):
-    monkeypatch.delenv("TWISTKNOT_MAX_COSETS", raising=False)
+def test_golden_outputs(capsys):
     for line, code, digest in GOLDEN:
         got, out, _ = run(capsys, *line.split())
         assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest), line

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import conjugate_relator, invert_relator, random_word
-from twistknot.coset_enum import surgered_presentation, todd_coxeter
+from twistknot.coset_enum import MAX_COSET_BUDGET, surgered_presentation, todd_coxeter
 from twistknot.criterion import CriterionError, Slope
 from twistknot.presentations import Presentation, PresentationError, homology
 from twistknot.twisted_torus import TwistParams, closed_form
@@ -243,8 +243,12 @@ def test_slope_must_be_reduced():
 
 
 def test_max_cosets_guard():
-    with pytest.raises(PresentationError, match="max_cosets"):
-        todd_coxeter(Presentation((A,), (word(("a", 2)),)), 0)
+    p = Presentation((A,), (word(("a", 2)),))
+    for budget in (0, MAX_COSET_BUDGET + 1):
+        with pytest.raises(PresentationError, match="max_cosets"):
+            todd_coxeter(p, budget)
+    # the ceiling bounds the budget, not the table, so a small group stays small
+    assert todd_coxeter(p, MAX_COSET_BUDGET).order == 2
 
 
 def test_relator_letter_bound():
