@@ -23,6 +23,8 @@ from .wirtinger import builtin_link_L, diagram_from_json, wirtinger_presentation
 
 #: ``verify-proof --sweep``'s parameter box flags and their defaults
 _SWEEP_BOX = {"umin": -3, "umax": 3, "vmin": 0, "vmax": 4}
+#: the most members a ``--sweep`` box may hold; the sweep keeps every report until it ends
+MAX_SWEEP_MEMBERS = 10**4
 
 
 class _UsageError(Exception):
@@ -236,6 +238,9 @@ def _check_flags(args: argparse.Namespace) -> None:
         for flag, default in _SWEEP_BOX.items():
             if getattr(args, flag) is None:
                 setattr(args, flag, default)
+        members = max(0, args.umax - args.umin + 1) * max(0, args.vmax - args.vmin + 1)
+        if sweep and members > MAX_SWEEP_MEMBERS:
+            refuse(f"--sweep box holds {members} members, over the cap of {MAX_SWEEP_MEMBERS}")
     if command == "h1":
         if args.p is None and given("q", "longitude"):
             refuse(f"takes {given('q', 'longitude')} only with --p")

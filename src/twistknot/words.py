@@ -4,11 +4,25 @@ Words are stored in run-length encoded, freely reduced normal form and are
 immutable, so every equality test is a normal-form comparison and values can
 be shared freely between threads.  Exponents are plain Python integers and
 therefore unbounded; nothing in this module can silently overflow.
+
+Outside data (``Word(pairs)``, ``word``, ``from_pairs``, ``parse``) is freely
+reduced once, at construction.  Every operation here builds its result from
+runs that are already reduced, so it cancels or merges only at the seam where
+two reduced run lists meet: the product of two reduced words reduces there
+and nowhere else (Lyndon-Schupp, *Combinatorial Group Theory*, I.1).
+
+``**`` and ``substitute`` repeat a multi-run core ``|n|`` times, so they
+refuse, with a ``ValueError`` and before allocating, to build a word of more
+than ``MAX_WORD_RUNS`` runs.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
+
+#: the most runs ``**`` or ``substitute`` builds; a word of 10^6 runs with
+#: distinct exponents holds about 100 MiB
+MAX_WORD_RUNS = 10**6
 
 
 class SubstitutionError(ValueError):
@@ -61,6 +75,34 @@ def _reduce_runs(pairs: Iterable[tuple[Generator, int]]) -> tuple[tuple[Generato
     return tuple(out)
 
 
+def _join(out: list[tuple[Generator, int]], runs: Sequence[tuple[Generator, int]]) -> None:
+    """Append the reduced ``runs`` to the reduced run list ``out``, cancelling or
+    merging only where the two meet."""
+    i = 0
+    while out and i < len(runs) and out[-1][0] == runs[i][0]:
+        gen, merged = runs[i][0], out.pop()[1] + runs[i][1]
+        i += 1
+        if merged:
+            out.append((gen, merged))
+            break
+    out.extend(runs[i:])
+
+
+def _over_cap(runs: int) -> ValueError:
+    return ValueError(f"word too long: up to {runs} runs, over the cap of {MAX_WORD_RUNS}")
+
+
+def _inverse_runs(runs: Sequence[tuple[Generator, int]]) -> tuple[tuple[Generator, int], ...]:
+    return tuple((g, -e) for g, e in reversed(runs))
+
+
+def _reduced(runs: tuple[tuple[Generator, int], ...]) -> "Word":
+    """The word over ``runs``, which the caller guarantees are freely reduced."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "runs", runs)
+    return w
+
+
 class Word:
     """A freely reduced word, the identity when empty."""
 
@@ -108,19 +150,47 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.runs + other.runs)
+        out = list(self.runs)
+        _join(out, other.runs)
+        return _reduced(tuple(out))
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.runs)))
+        return _reduced(_inverse_runs(self.runs))
 
     def __pow__(self, n: int) -> "Word":
-        """``c core^n c^-1`` for ``self == c core c^-1``, in one reduction."""
+        """``c core^n c^-1`` for ``self == c core c^-1``, joined at the seams.
+
+        ``ValueError``, before anything is built, if a core of two or more runs
+        would be repeated into more than ``MAX_WORD_RUNS`` runs."""
+        if n == 1:
+            return self
+        if n == -1:
+            return self.inverse()
         core, conj = self.cyclic_reduce()
-        if len(core.runs) == 1:
-            body = ((core.runs[0][0], core.runs[0][1] * n),)
+        core = core.runs if n > 0 else _inverse_runs(core.runs)
+        n = abs(n)
+        if not n or not core:
+            return _reduced(())
+        if len(core) == 1:
+            body = ((core[0][0], core[0][1] * n),)
         else:
-            body = (core if n >= 0 else core.inverse()).runs * abs(n)
-        return Word(conj.runs + body + conj.inverse().runs)
+            # the copies meet at different generators, or merge where they meet:
+            # (x^p M x^q)^n = x^p M (x^(p+q) M)^(n-1) x^q
+            merging = core[0][0] == core[-1][0]
+            size = 2 * len(conj.runs) + (len(core) - merging) * n + merging
+            if size > MAX_WORD_RUNS:
+                raise _over_cap(size)
+            if merging:
+                merged = ((core[0][0], core[0][1] + core[-1][1]),) + core[1:-1]
+                body = core[:-1] + merged * (n - 1) + core[-1:]
+            else:
+                body = core * n
+        if not conj.runs:
+            return _reduced(body)
+        out = list(conj.runs)
+        _join(out, body)
+        _join(out, _inverse_runs(conj.runs))
+        return _reduced(tuple(out))
 
     def conjugate(self, by: "Word") -> "Word":
         """Return ``by * self * by^-1``."""
@@ -129,29 +199,23 @@ class Word:
     def substitute(self, mapping: Mapping[Generator, "Word"]) -> "Word":
         """Image under the homomorphism sending each generator to its value.
 
-        Each image ``c core c^-1`` is cyclically reduced once per call; a run
-        ``x^e`` then contributes ``c core^e c^-1`` to one list of runs, and the
-        whole image is freely reduced in a single pass.
+        Each distinct run ``x^e`` is raised to its image ``x_image ** e`` once per
+        call, and the images are joined onto one run list, which reduces only
+        where they meet.  ``ValueError`` if the image could hold more than
+        ``MAX_WORD_RUNS`` runs.
         """
-        parts: dict[Generator, tuple] = {}
+        images: dict[tuple[Generator, int], tuple] = {}
         out: list[tuple[Generator, int]] = []
-        for gen, exp in self.runs:
-            part = parts.get(gen)
-            if part is None:
-                if gen not in mapping:
-                    raise SubstitutionError(f"no image given for generator {gen.name!r}")
-                core, conj = mapping[gen].cyclic_reduce()
-                part = parts[gen] = (
-                    core.runs, core.inverse().runs, conj.runs, conj.inverse().runs
-                )
-            core_runs, core_inverse, conj_runs, conj_inverse = part
-            out.extend(conj_runs)
-            if len(core_runs) == 1:
-                out.append((core_runs[0][0], core_runs[0][1] * exp))
-            else:
-                out.extend((core_runs if exp > 0 else core_inverse) * abs(exp))
-            out.extend(conj_inverse)
-        return Word(out)
+        for run in self.runs:
+            image = images.get(run)
+            if image is None:
+                if run[0] not in mapping:
+                    raise SubstitutionError(f"no image given for generator {run[0].name!r}")
+                image = images[run] = (mapping[run[0]] ** run[1]).runs
+            if len(out) + len(image) > MAX_WORD_RUNS:
+                raise _over_cap(len(out) + len(image))
+            _join(out, image)
+        return _reduced(tuple(out))
 
     # -- structure ---------------------------------------------------------
 
@@ -182,7 +246,11 @@ class Word:
             peeled.append((gen, step))
             runs[i], runs[j] = (gen, first - step), (gen, last + step)
             i, j = i + (runs[i][1] == 0), j - (runs[j][1] == 0)
-        return Word(runs[i : j + 1]), Word(peeled)
+        if not peeled:
+            return self, _reduced(())
+        # both are reduced by construction: a slice of reduced runs whose end runs only
+        # shrank, and peeled runs that alternate generators
+        return _reduced(tuple(runs[i : j + 1])), _reduced(tuple(peeled))
 
     def to_pairs(self) -> list[list]:
         """JSON form: list of ``[name, exponent]`` pairs."""

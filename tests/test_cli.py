@@ -4,11 +4,12 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistknot import presentations
+from twistknot import cli, presentations
 from twistknot.cli import build_parser, main
 from twistknot.presentations import Presentation
 from twistknot.wirtinger import (
@@ -371,6 +372,40 @@ def test_hostile_json_gives_a_value_or_a_value_error(data):
 )
 def test_verify_proof_ignored_flags_are_usage_error(capsys, argv):
     _one_line_error(capsys, argv, 2)
+
+
+def test_verify_proof_refuses_an_oversized_sweep_box(capsys, monkeypatch):
+    # refused before any member is computed: 1001 x 1001 members would need hours
+    def unreachable(params):
+        raise AssertionError("a member was computed")
+
+    monkeypatch.setattr(cli, "verify_proof", unreachable)
+    argv = ["verify-proof", "--sweep", "--umin", "-500", "--umax", "500", "--vmax", "1000"]
+    assert "1002001 members" in _one_line_error(capsys, argv, 2)
+
+
+def test_sweep_box_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SWEEP_MEMBERS", 4)
+    box = ["verify-proof", "--sweep", "--umin", "0", "--umax", "1", "--vmin", "0"]
+    code, out, _ = run(capsys, *box, "--vmax", "1")
+    assert code == 0 and len(out.splitlines()) == 4
+    _one_line_error(capsys, [*box, "--vmax", "2"], 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--mode", "derive", "--u", str(10**12), "--v", "0"],
+        ["verify-proof", "--u", str(10**12), "--v", "0"],
+        ["generate", "--u", "0", "--v", str(10**12)],
+        ["check-slope", "--u", "0", "--v", str(10**12), "--p", "5", "--q", "1"],
+    ],
+)
+def test_huge_powers_of_multi_run_words_exit_1(capsys, argv):
+    # (a b)^(10^12) would hold 2 * 10^12 runs; it is refused before any is built
+    start = time.perf_counter()
+    assert "over the cap" in _one_line_error(capsys, argv, 1)
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize(

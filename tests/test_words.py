@@ -1,9 +1,12 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ABC, random_nonempty_word, random_word
+from twistknot import words
 from twistknot.words import (
     Generator,
     SubstitutionError,
@@ -355,6 +358,108 @@ def test_run_operations_never_expand_letters(monkeypatch):
     }
     for x in samples:
         assert x.substitute(mapping) == _ref_substitute(x, mapping)
+
+
+# -- operations reduce only where two reduced run lists meet ----------------------
+
+
+def _is_reduced(w: Word) -> bool:
+    runs = w.runs
+    return (
+        type(runs) is tuple
+        and all(e != 0 for _, e in runs)
+        and all(runs[k][0] != runs[k + 1][0] for k in range(len(runs) - 1))
+    )
+
+
+X, Y, Z = Generator("x"), Generator("y"), Generator("z")
+_SEAM_SAMPLES = [
+    Word(),
+    word(("a", 5)),
+    word(("x", 1), ("y", 1)),
+    word(("y", -1), ("x", -1), ("z", 1)),
+    word(("a", 1), ("b", 1), ("a", 1)),  # a core whose ends share a generator
+    word(("a", 2), ("b", 1), ("a", -1)),  # conjugator a, core a b: they merge where they meet
+    word(("b", 2), ("a", -3), ("b", -1)),
+    word(("y", 2), ("x", 3), ("c", 4)),
+    word(("c", -1), ("a", 2), ("b", 3), ("a", 1), ("c", 1)),
+]
+_SEAM_MAPPING = {
+    A: word(("a", 1), ("b", 1)),
+    B: word(("b", 2), ("c", -1), ("b", 1)),  # ends share a generator
+    C: Word(),  # the identity image contributes nothing
+    X: word(("c", 1), ("a", 1), ("b", 1), ("c", -1)),  # c (a b) c^-1
+    Y: word(("c", 1), ("b", -1), ("a", -1), ("c", -1)),  # c (a b)^-1 c^-1
+    Z: word(("a", 2), ("b", 1), ("a", -1)),
+}
+
+
+def _seam_cases():
+    """``(operation, expected)``: the letter-reference results of every operation on
+    the samples, and cases that cancel or merge across a seam, with hand results."""
+    cases = []
+    for x in _SEAM_SAMPLES:
+        cases.append((x.inverse, Word([(g, -s) for g, s in reversed(_letters(x))])))
+        cases.append((x.cyclic_reduce, _ref_cyclic_reduce(x)))
+        cases.append((lambda x=x: x.substitute(_SEAM_MAPPING), _ref_substitute(x, _SEAM_MAPPING)))
+        for n in range(-3, 4):
+            cases.append((lambda x=x, n=n: x**n, _ref_pow(x, n)))
+        for y in _SEAM_SAMPLES:
+            cases.append((lambda x=x, y=y: x * y, Word(_letters(x) + _letters(y))))
+            cases.append((lambda x=x, y=y: is_conjugate(x, y), _ref_is_conjugate(x, y)))
+    xy, yxz, aba, yyxxxcccc = (_SEAM_SAMPLES[k] for k in (2, 3, 4, 7))
+    yxx, ca, b = word(("y", 1), ("x", 2)), word(("c", 4), ("a", -1)), word(("b", 1))
+    return cases + [
+        (lambda: xy * yxz, word(("z", 1))),  # cancels past the seam
+        # the conjugator, then the core's first copy (first two copies) cancel wholly into y's image
+        (lambda: yxx.substitute(_SEAM_MAPPING), Word.parse("c a b c^-1")),
+        (lambda: yyxxxcccc.substitute(_SEAM_MAPPING), Word.parse("c a b c^-1")),
+        (lambda: aba**3, Word.parse("a b a^2 b a^2 b a")),
+        (lambda: aba**-2, Word.parse("a^-1 b^-1 a^-2 b^-1 a^-1")),
+        (lambda: b.substitute(_SEAM_MAPPING) ** 2, Word.parse("b^2 c^-1 b^3 c^-1 b")),
+        (lambda: aba**0, Word()),
+        (lambda: ca.substitute(_SEAM_MAPPING), Word.parse("b^-1 a^-1")),
+    ]
+
+
+def test_operations_reduce_only_at_seams(monkeypatch):
+    # every expected result is built first; after the patch, only operations on
+    # words that are already reduced run, and none may reduce a whole run list again
+    cases = _seam_cases()
+
+    def refuse(pairs):
+        raise AssertionError("an operation re-reduced runs that were already reduced")
+
+    monkeypatch.setattr(words, "_reduce_runs", refuse)
+    for operation, expected in cases:
+        got = operation()
+        assert got == expected
+        for w in got if isinstance(got, tuple) else (got,):
+            assert not isinstance(w, Word) or _is_reduced(w), w.runs
+
+
+def test_only_the_public_constructor_reduces():
+    callers = set()
+    for path in Path(words.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_reduce_runs":
+                        callers.add((path.stem, func.name))
+    assert callers == {("words", "__init__")}
+
+
+def test_word_run_cap_is_exact(monkeypatch):
+    monkeypatch.setattr(words, "MAX_WORD_RUNS", 10)
+    ab, aba = word(("a", 1), ("b", 1)), word(("a", 1), ("b", 1), ("a", 1))
+    assert (len((ab**5).runs), len((aba**-4).runs)) == (10, 9)  # a b a^2 b ... a: 2n + 1 runs
+    assert len(word(("x", 5)).substitute({X: ab}).runs) == 10
+    for build in (lambda: ab**6, lambda: aba**-5, lambda: word(("x", -6)).substitute({X: ab}),
+                  lambda: word(("x", 3), ("y", 3)).substitute({X: ab, Y: aba})):
+        with pytest.raises(ValueError, match="over the cap of 10"):
+            build()
+    assert word(("a", 10**18)) ** 3 == word(("a", 3 * 10**18))  # one run is no repetition
 
 
 N_HUGE = 10**18
