@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from typing import Any, NoReturn
 
@@ -20,11 +21,15 @@ from .criterion import Slope, check_family_slope, minimal_integer_bound
 from .presentations import Presentation, alexander_polynomial, homology
 from .twisted_torus import TwistParams, closed_form, derive_from_diagram, verify_proof
 from .wirtinger import builtin_link_L, diagram_from_json, wirtinger_presentation
+from .words import Word
 
 #: ``verify-proof --sweep``'s parameter box flags and their defaults
 _SWEEP_BOX = {"umin": -3, "umax": 3, "vmin": 0, "vmax": 4}
 #: the most members a ``--sweep`` box may hold; the sweep keeps every report until it ends
 MAX_SWEEP_MEMBERS = 10**4
+#: the most runs a result's words may hold in all; JSON writes each run over four
+#: lines, and a result at the cap peaks at about 430 MiB and prints 38 MB
+MAX_PAYLOAD_RUNS = 10**6
 
 
 class _UsageError(Exception):
@@ -54,49 +59,70 @@ def _presentation_for(args: argparse.Namespace) -> Presentation:
 
 
 # -- command handlers ---------------------------------------------------------
+# each returns a result object or an int for ``main`` to turn into JSON; a sweep
+# returns its members' JSON, each turned as it is made so the sweep holds no reports
 
 
-def _cmd_wirtinger(args) -> dict:
+def _cmd_wirtinger(args):
     if args.diagram is not None:
         with open(args.diagram, "r", encoding="utf-8") as fh:
             diagram = diagram_from_json(json.load(fh))
     else:
         diagram = builtin_link_L()
-    return wirtinger_presentation(diagram).to_json()
+    return wirtinger_presentation(diagram)
 
 
-def _cmd_generate(args) -> dict:
+def _cmd_generate(args):
     params = _params(args)
-    model = derive_from_diagram(params) if args.mode == "derive" else closed_form(params)
-    return model.to_json()
+    return derive_from_diagram(params) if args.mode == "derive" else closed_form(params)
 
 
-def _cmd_verify_proof(args) -> Any:
+def _cmd_verify_proof(args):
     if args.sweep:
         us, vs = range(args.umin, args.umax + 1), range(args.vmin, args.vmax + 1)
-        return [verify_proof(TwistParams(u, v)).to_json() for u in us for v in vs]
-    return verify_proof(_params(args)).to_json()
+        return [_to_json(verify_proof(TwistParams(u, v))) for u in us for v in vs]
+    return verify_proof(_params(args))
 
 
-def _cmd_check_slope(args) -> dict:
-    report = check_family_slope(_params(args), Slope(args.p, args.q), args.longitude)
-    return report.to_json()
+def _cmd_check_slope(args):
+    return check_family_slope(_params(args), Slope(args.p, args.q), args.longitude)
 
 
 def _cmd_bound(args) -> int:
     return minimal_integer_bound(_params(args), args.longitude)
 
 
-def _cmd_h1(args) -> dict:
-    return homology(_presentation_for(args)).to_json()
+def _cmd_h1(args):
+    return homology(_presentation_for(args))
 
 
-def _cmd_alexander(args) -> dict:
-    return alexander_polynomial(_presentation_for(args)).to_json()
+def _cmd_alexander(args):
+    return alexander_polynomial(_presentation_for(args))
 
 
-def _cmd_enumerate(args) -> dict:
-    return todd_coxeter(_presentation_for(args), args.max_cosets).to_json()
+def _cmd_enumerate(args):
+    return todd_coxeter(_presentation_for(args), args.max_cosets)
+
+
+def _word_runs(result: Any) -> int:
+    """Runs held by the words of a command's result, counted before it becomes JSON."""
+    if isinstance(result, Word):
+        return len(result.runs)
+    if is_dataclass(result):
+        return sum(_word_runs(getattr(result, f.name)) for f in fields(result))
+    if isinstance(result, tuple):
+        return sum(map(_word_runs, result))
+    return 0
+
+
+def _to_json(result: Any) -> Any:
+    """JSON of one result, refused when its words hold more than ``MAX_PAYLOAD_RUNS`` runs."""
+    runs = _word_runs(result)
+    if runs > MAX_PAYLOAD_RUNS:
+        raise ValueError(
+            f"result too large: its words hold {runs} runs, over the cap of {MAX_PAYLOAD_RUNS}"
+        )
+    return result if isinstance(result, int) else result.to_json()
 
 
 # -- parser -------------------------------------------------------------------
@@ -256,7 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return 2
     try:
-        payload = args.handler(args)
+        result = args.handler(args)
+        payload = result if isinstance(result, list) else _to_json(result)
         if args.ledger is not None:
             records = payload if isinstance(payload, list) else [payload]
             for record in records:

@@ -23,8 +23,8 @@ if TYPE_CHECKING:
 
 DEFAULT_MAX_COSETS = 10**6
 
-# the coset table takes about 19 MiB and 3.8 s per 10^6 cosets; a larger budget
-# is refused instead of filling memory
+# an infinite filling fills its table at about 19.3 MiB and 3 s per 10^6 cosets;
+# a larger budget is refused instead of filling memory
 MAX_COSET_BUDGET = 10**7
 
 # the enumerator expands relators into single letters; past this many in all,
@@ -107,9 +107,16 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
     # define and the scan's deduction write both, and new entries only ever
     # fill zero slots.  Processing a dead coset clears both members of each
     # of its pairs, so once coincidence returns no entry names a dead coset
-    # and scans follow the table as it stands.
+    # and scans follow the table as it stands.  The columns and ``parent``
+    # grow in place by doubling, never past ``max_cosets + 1`` rows, so the
+    # column arrays bound to each relator below stay the live table.
     table = [array("i", [0, 0]) for _ in range(ncols)]
     parent = array("i", [0, 1])
+    rows = 2
+    pairs = [(table[c], table[c ^ 1]) for c in range(ncols)]
+    # each relator read forward (one column per letter) and backward (the
+    # inverse letters' columns), so a scan step indexes once
+    scans = [([table[c] for c in rel], [table[c ^ 1] for c in rel]) for rel in relators]
     defined = live = 1
 
     def find(x: int) -> int:
@@ -120,18 +127,28 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
             parent[x], x = root, parent[x]
         return root
 
-    def define(alpha: int, col: int) -> int:
-        nonlocal defined, live
+    def define(alpha: int, column: array, partner: array) -> int:
+        nonlocal defined, live, rows
         if defined >= max_cosets:
             raise _Limit
         defined += 1
         live += 1
         beta = defined
-        for column in table:
-            column.append(0)
-        parent.append(beta)
-        table[col][alpha] = beta
-        table[col ^ 1][beta] = alpha
+        if beta == rows:
+            # CPython's array over-allocates by 1/16 on each resize, so growing
+            # to 16/17 of the target first lets the last rows land in that
+            # slack; the columns copy their new zero rows from parent's, so no
+            # zero buffer is alive once the whole table has grown
+            target = min(2 * rows, max_cosets + 1)
+            for size in (max(rows, target * 16 // 17), target):
+                parent.frombytes(bytes(parent.itemsize * (size - rows)))
+                with memoryview(parent).cast("B")[parent.itemsize * rows:] as zeros:
+                    for col in table:
+                        col.frombytes(zeros)
+                rows = size
+        parent[beta] = beta
+        column[alpha] = beta
+        partner[beta] = alpha
         return beta
 
     merge_queue: deque[int] = deque()
@@ -151,32 +168,32 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
         merge(x, y)
         while merge_queue:
             dead = merge_queue.popleft()
-            for col in range(ncols):
-                target = table[col][dead]
+            for column, partner in pairs:
+                target = column[dead]
                 if not target:
                     continue
-                table[col][dead] = 0
-                if table[col ^ 1][target] == dead:
-                    table[col ^ 1][target] = 0
+                column[dead] = 0
+                if partner[target] == dead:
+                    partner[target] = 0
                 mu = find(dead)
                 nu = find(target)
-                existing = table[col][mu]
+                existing = column[mu]
                 if existing:
                     merge(nu, existing)
                 else:
-                    mirrored = table[col ^ 1][nu]
+                    mirrored = partner[nu]
                     if mirrored:
                         merge(mu, mirrored)
                     else:
-                        table[col][mu] = nu
-                        table[col ^ 1][nu] = mu
+                        column[mu] = nu
+                        partner[nu] = mu
 
-    def scan_and_fill(alpha: int, rel: list[int]) -> None:
-        i, j = 0, len(rel) - 1
+    def scan_and_fill(alpha: int, forward: list, backward: list) -> None:
+        i, j = 0, len(forward) - 1
         fwd = bwd = alpha
         while True:
             while i <= j:
-                nxt = table[rel[i]][fwd]
+                nxt = forward[i][fwd]
                 if not nxt:
                     break
                 fwd = nxt
@@ -186,7 +203,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
                     coincidence(fwd, bwd)
                 return
             while j >= i:
-                nxt = table[rel[j] ^ 1][bwd]
+                nxt = backward[j][bwd]
                 if not nxt:
                     break
                 bwd = nxt
@@ -195,24 +212,24 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
                 coincidence(fwd, bwd)
                 return
             if j == i:
-                table[rel[i]][fwd] = bwd
-                table[rel[i] ^ 1][bwd] = fwd
+                forward[i][fwd] = bwd
+                backward[i][bwd] = fwd
                 return
-            fwd = define(fwd, rel[i])
+            fwd = define(fwd, forward[i], backward[i])
             i += 1
 
     try:
         alpha = 1
         while alpha <= defined:
             if parent[alpha] == alpha:
-                for rel in relators:
-                    scan_and_fill(alpha, rel)
+                for forward, backward in scans:
+                    scan_and_fill(alpha, forward, backward)
                     if parent[alpha] != alpha:
                         break
                 if parent[alpha] == alpha:
-                    for col in range(ncols):
-                        if not table[col][alpha]:
-                            define(alpha, col)
+                    for column, partner in pairs:
+                        if not column[alpha]:
+                            define(alpha, column, partner)
             alpha += 1
     except _Limit:
         digest = _hash_text(f"exceeded:{max_cosets}:{defined}")

@@ -18,6 +18,7 @@ from twistknot.wirtinger import (
     diagram_to_json,
     wirtinger_presentation,
 )
+from twistknot.words import Word
 
 
 def run(capsys, *argv):
@@ -390,6 +391,28 @@ def test_sweep_box_cap_is_inclusive(capsys, monkeypatch):
     code, out, _ = run(capsys, *box, "--vmax", "1")
     assert code == 0 and len(out.splitlines()) == 4
     _one_line_error(capsys, [*box, "--vmax", "2"], 2)
+
+
+@pytest.mark.parametrize(
+    "argv, runs",
+    [
+        (["generate", "--u", "0", "--v", "1"], 47),
+        (["generate", "--u", "0", "--v", "1", "--mode", "derive"], 48),
+        (["check-slope", "--u", "0", "--v", "1", "--p", "5", "--q", "1"], 11),
+        (["wirtinger", "--builtin"], 48),
+    ],
+)
+def test_payload_run_cap_is_inclusive(capsys, monkeypatch, argv, runs):
+    monkeypatch.setattr(cli, "MAX_PAYLOAD_RUNS", runs)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "MAX_PAYLOAD_RUNS", runs - 1)
+
+    def unreachable(self):
+        raise AssertionError("a refused result was turned into JSON")
+
+    # refused before any word becomes JSON, where a large result ran out of memory
+    monkeypatch.setattr(Word, "to_pairs", unreachable)
+    assert f"hold {runs} runs" in _one_line_error(capsys, argv, 1)
 
 
 @pytest.mark.parametrize(

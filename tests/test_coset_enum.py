@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -265,3 +268,96 @@ def test_result_json():
     assert data["order"] == 4
     assert data["strategy"].startswith("hlt")
     assert isinstance(data["trace_hash"], str)
+
+
+#: T(2,3) fillings of the ``enumerate`` benchmark workload: lens spaces,
+#: other spherical manifolds, and infinite fillings
+CATALOG = (
+    (11, 2), (13, 2), (17, 3), (19, 3), (23, 4), (25, 4), (29, 5), (31, 5),
+    (7, 2), (9, 2), (15, 2), (16, 3), (20, 3),
+    (12, 1), (13, 1), (-1, 1), (-2, 1), (-3, 1), (-4, 1), (-5, 1), (-6, 1),
+)
+
+
+def _pinned_cases():
+    """The catalog at the workload's budget, then 96 seeded 2-generator
+    presentations at budgets on either side of each power of two the table
+    grows through; a third of them have one relator, so they are infinite."""
+    model = closed_form(TwistParams(0, 0))
+    for num, den in CATALOG:
+        yield f"{num}/{den}", surgered_presentation(model, Slope(num, den), "corrected"), 20_000
+    rng = random.Random(10)
+    budgets = [2**k + d for k in (5, 8, 10, 12) for d in (-1, 0, 1)]
+    for i in range(96):
+        relators = tuple(
+            Word((rng.choice((A, B)), rng.choice((-3, -2, -1, 1, 2, 3)))
+                 for _ in range(rng.randint(2, 7)))
+            for _ in range(1 if i // 12 % 3 == 0 else rng.randint(2, 3))
+        )
+        yield f"random {i}", Presentation((A, B), relators), budgets[i % 12]
+
+
+# the first 16 hex digits of sha256(json.dumps(to_json(), sort_keys=True)) for
+# each case of _pinned_cases, in order; a change of strategy that moves them is
+# named in CHANGES.md
+PINNED_DIGESTS = """
+0499702635ad6f35 6f2abe77b7266449 f1bc5d21f4edf46a ee0a0ec98740dbc2
+971528bf0cc9b779 971528bf0cc9b779 971528bf0cc9b779 971528bf0cc9b779
+c19bb3fcabf10aa2 02425cf8b93b6238 ce49fc7891a3a3e3 a9eed092ade9c115
+2e7e0cc65af2d863 971528bf0cc9b779 971528bf0cc9b779 971528bf0cc9b779
+971528bf0cc9b779 971528bf0cc9b779 971528bf0cc9b779 971528bf0cc9b779
+971528bf0cc9b779 e90fd4c977c1b5c6 959f64bc450b25e9 fca4e4acd0d6a50d
+193f1d8460555e1a 61ead956ee26457e f4a208baec4d763a e1a775adde7bf087
+c69f5be3eb4b0773 ef9b4149a8244ed1 3adb8e495a3d8eed 33fe5036acaa7381
+ee5a1a5217804f49 e90fd4c977c1b5c6 959f64bc450b25e9 fca4e4acd0d6a50d
+017231628d4abadc 61ead956ee26457e f4a208baec4d763a 4080a30427b10ee2
+c07e36def438e106 ef9b4149a8244ed1 b8f73f919bd5b4e2 975f0fc231174e35
+ee5a1a5217804f49 671221684adb0060 d619475fcc232374 bc6ef4767b805f6e
+7023532709451fe0 c60bcc9e2946c425 9c963c90613803bc 51e02caa0d899b0a
+e7ab15482ab333de 5dfc0d573f3044fb a2e07f3b6db71cf3 9533defc5d3f4e6e
+3b924500dcad348e e90fd4c977c1b5c6 959f64bc450b25e9 fca4e4acd0d6a50d
+193f1d8460555e1a 61ead956ee26457e f4a208baec4d763a e1a775adde7bf087
+c69f5be3eb4b0773 ef9b4149a8244ed1 3adb8e495a3d8eed 33fe5036acaa7381
+ee5a1a5217804f49 1bab9bf47555ece8 c8cd3a9785d14220 721a20a75b10234a
+3288c2e27413ecca 0d4d6e63c0332c81 c2bb9196f3551380 8abc2fa63776d3a1
+70b556d795eb1375 1290ca885510e36a f41d574fdf42c2b1 c8b8c576e1639769
+082a44cb5f0be097 e90fd4c977c1b5c6 8835c98578f27e28 136bca7fdaeda535
+f6a6a8aae3020cc1 d613ca5fffe2f94d 04ca314fa080a67e 8ed08a0a5a49f4f7
+c70b07c3b86ee508 1307b9bc8b8af8b1 98c28a5445a638f0 cb1bf34cd3ef582d
+94dd24fa9631d520 e90fd4c977c1b5c6 959f64bc450b25e9 fca4e4acd0d6a50d
+193f1d8460555e1a 61ead956ee26457e f4a208baec4d763a e1a775adde7bf087
+c69f5be3eb4b0773 ef9b4149a8244ed1 3adb8e495a3d8eed 33fe5036acaa7381
+ee5a1a5217804f49 86480fe085e0f2bc 7349baa876393771 fca4e4acd0d6a50d
+a0cf455194b51de4 b0e187f6e20b7951 a132007e90d64174 1324fb0bb52b3ae6
+9e4214c19868895d cba05dec5e59166e ee84d9481d1eee6f fdc0d121fe2da29d
+b8cdb2598bc2f95e
+""".split()
+
+
+def test_enumeration_results_are_pinned():
+    cases = list(_pinned_cases())
+    assert len(cases) == len(PINNED_DIGESTS)
+    outcomes = set()
+    for (label, presentation, budget), digest in zip(cases, PINNED_DIGESTS):
+        result = todd_coxeter(presentation, budget)
+        outcomes.add((label[0] == "r", result.outcome))
+        text = json.dumps(result.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, label
+    assert len(outcomes) == 4
+
+
+def test_table_growth_holds_no_more_than_appending():
+    # <a, b | > only defines cosets, so the table is the whole peak.  When every
+    # define appended a row to each of the five arrays (four columns and the
+    # union-find parents), the peak was 20.64-20.65 B per row at each of these
+    # budgets; a doubling that ran past max_cosets + 1 rows would hold twice that
+    free = Presentation((A, B), ())
+    for budget in (2**16 - 1, 2**16, 2**16 + 1):
+        tracemalloc.start()
+        try:
+            result = todd_coxeter(free, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.outcome, result.cosets_defined) == ("exceeded", budget)
+        assert peak <= 20.65 * (budget + 1), (budget, peak)
