@@ -1,9 +1,12 @@
 """Todd-Coxeter coset enumeration over the trivial subgroup.
 
-The strategy is relator-driven filling with first-undefined-coset selection
-and no lookahead; coincidences are processed with an iterative union-find
-queue.  Given the same presentation and limit the run is fully deterministic,
-and the result carries a hash of the canonically renumbered coset table so
+The strategy is relator-driven filling (HLT) with first-undefined-coset
+selection and no lookahead, run as one flat loop: each live coset is scanned
+against every relator from both ends, the gap is closed by a deduction or a
+chain of definitions along the relator, and the coset's empty slots are then
+defined.  Coincidences are processed with an iterative union-find queue.
+Given the same presentation and limit the run is fully deterministic, and the
+result carries a hash of the canonically renumbered coset table so
 reproductions can be compared across machines.
 """
 
@@ -11,12 +14,10 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .presentations import Presentation, PresentationError
-from .words import Word
 
 if TYPE_CHECKING:
     from .twisted_torus import KnotGroupModel
@@ -32,10 +33,6 @@ MAX_COSET_BUDGET = 10**7
 MAX_RELATOR_LETTERS = 10**6
 
 STRATEGY = "hlt/first-undefined/no-lookahead"
-
-
-class _Limit(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -55,14 +52,7 @@ class EnumerationResult:
         return self.outcome == "finished"
 
     def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "order": self.order,
-            "limit": self.limit,
-            "cosets_defined": self.cosets_defined,
-            "trace_hash": self.trace_hash,
-            "strategy": self.strategy,
-        }
+        return asdict(self)
 
 
 def surgered_presentation(model: KnotGroupModel, slope, use: str = "paper") -> Presentation:
@@ -72,10 +62,6 @@ def surgered_presentation(model: KnotGroupModel, slope, use: str = "paper") -> P
     """
     relator = model.meridian**slope.p * model.longitude(use) ** slope.q
     return Presentation(model.presentation.generators, model.presentation.relators + (relator,))
-
-
-def _relator_columns(rel: Word, column_of: dict) -> list[int]:
-    return [column_of[g] ^ (e < 0) for g, e in rel.runs for _ in range(abs(e))]
 
 
 def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> EnumerationResult:
@@ -99,162 +85,170 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
             "finished", 1, max_cosets, 1, _hash_text("trivial-presentation")
         )
     column_of = {g: 2 * i for i, g in enumerate(gens)}
-    ncols = 2 * len(gens)
-    relators = [_relator_columns(r, column_of) for r in p.relators if not r.is_identity]
 
     # column-major tables; coset numbers are 1-based, 0 means undefined.
     # Every nonzero entry table[c][x] = y has its partner table[c ^ 1][y] = x:
-    # define and the scan's deduction write both, and new entries only ever
-    # fill zero slots.  Processing a dead coset clears both members of each
-    # of its pairs, so once coincidence returns no entry names a dead coset
+    # definitions and the scan's deduction write both, and new entries only
+    # ever fill zero slots.  Processing a dead coset clears both members of
+    # each of its pairs, so once _coincide returns no entry names a dead coset
     # and scans follow the table as it stands.  The columns and ``parent``
     # grow in place by doubling, never past ``max_cosets + 1`` rows, so the
     # column arrays bound to each relator below stay the live table.
-    table = [array("i", [0, 0]) for _ in range(ncols)]
+    table = [array("i", [0, 0]) for _ in range(2 * len(gens))]
     parent = array("i", [0, 1])
     rows = 2
-    pairs = [(table[c], table[c ^ 1]) for c in range(ncols)]
-    # each relator read forward (one column per letter) and backward (the
-    # inverse letters' columns), so a scan step indexes once
-    scans = [([table[c] for c in rel], [table[c ^ 1] for c in rel]) for rel in relators]
-    defined = live = 1
+    pairs = [(column, table[c ^ 1]) for c, column in enumerate(table)]
+    # each relator spelled out letter by letter, read forward (one column per
+    # letter) and backward (the inverse letters' columns) so that a scan step
+    # indexes once, with the index of its last letter
+    spelled = ([column_of[g] ^ (e < 0) for g, e in r.runs for _ in range(abs(e))]
+               for r in p.relators if not r.is_identity)
+    scans = [([table[c] for c in rel], [table[c ^ 1] for c in rel], len(rel) - 1)
+             for rel in spelled]
+    defined = alpha = 1
+    killed = 0
+    while alpha <= defined:
+        if parent[alpha] != alpha:
+            alpha += 1
+            continue
+        for forward, backward, j in scans:
+            fwd = bwd = alpha
+            for i, column in enumerate(forward):
+                if not (nxt := column[fwd]):
+                    break
+                fwd = nxt
+            else:
+                if fwd != alpha:
+                    killed += _coincide(parent, pairs, fwd, alpha)
+                    if parent[alpha] != alpha:
+                        break
+                continue
+            while True:
+                while j >= i and (nxt := backward[j][bwd]):
+                    bwd = nxt
+                    j -= 1
+                if j < i:
+                    killed += _coincide(parent, pairs, fwd, bwd)
+                    break
+                if j == i:
+                    forward[i][fwd] = bwd
+                    backward[i][bwd] = fwd
+                    break
+                # definition chain: a fresh coset's one entry points back along
+                # letter i, and letter i + 1 is never its inverse (relators are
+                # freely reduced), so a forward re-read would stop at once;
+                # define on until one letter is left for the deduction above or
+                # the backward scan can move again
+                while True:
+                    defined += 1
+                    if defined == rows and not (rows := _grow(table, parent, rows, max_cosets)):
+                        return _exceeded(max_cosets)
+                    parent[defined] = defined
+                    forward[i][fwd] = defined
+                    backward[i][defined] = fwd
+                    fwd = defined
+                    i += 1
+                    if i == j or backward[j][bwd]:
+                        break
+            if parent[alpha] != alpha:
+                break
+        else:
+            # alpha survived every relator: define its empty slots
+            for column, partner in pairs:
+                if not column[alpha]:
+                    defined += 1
+                    if defined == rows and not (rows := _grow(table, parent, rows, max_cosets)):
+                        return _exceeded(max_cosets)
+                    parent[defined] = defined
+                    column[alpha] = defined
+                    partner[defined] = alpha
+        alpha += 1
+    return EnumerationResult("finished", defined - killed, max_cosets, defined, _hash_table(table))
 
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
 
-    def define(alpha: int, column: array, partner: array) -> int:
-        nonlocal defined, live, rows
-        if defined >= max_cosets:
-            raise _Limit
-        defined += 1
-        live += 1
-        beta = defined
-        if beta == rows:
-            # CPython's array over-allocates by 1/16 on each resize, so growing
-            # to 16/17 of the target first lets the last rows land in that
-            # slack; the columns copy their new zero rows from parent's, so no
-            # zero buffer is alive once the whole table has grown
-            target = min(2 * rows, max_cosets + 1)
-            for size in (max(rows, target * 16 // 17), target):
-                parent.frombytes(bytes(parent.itemsize * (size - rows)))
-                with memoryview(parent).cast("B")[parent.itemsize * rows:] as zeros:
-                    for col in table:
-                        col.frombytes(zeros)
-                rows = size
-        parent[beta] = beta
-        column[alpha] = beta
-        partner[beta] = alpha
-        return beta
+def _grow(table: list, parent: array, rows: int, max_cosets: int) -> int:
+    """Double the rows of ``parent`` and every column, up to ``max_cosets + 1``;
+    return the new row count, or 0 when the table is already full."""
+    if rows > max_cosets:
+        return 0
+    # CPython's array over-allocates by 1/16 on each resize, so growing to
+    # 16/17 of the target first lets the last rows land in that slack; the
+    # columns copy their new zero rows from parent's, so no zero buffer is
+    # alive once the whole table has grown
+    target = min(2 * rows, max_cosets + 1)
+    for size in (max(rows, target * 16 // 17), target):
+        parent.frombytes(bytes(parent.itemsize * (size - rows)))
+        with memoryview(parent).cast("B")[parent.itemsize * rows:] as zeros:
+            for column in table:
+                column.frombytes(zeros)
+        rows = size
+    return rows
 
-    merge_queue: deque[int] = deque()
 
-    def merge(x: int, y: int) -> None:
-        nonlocal live
-        x, y = find(x), find(y)
-        if x == y:
-            return
+def _merge(parent: array, queue: array, x: int, y: int) -> None:
+    # find both roots, halving the paths on the way
+    while (up := parent[x]) != x:
+        parent[x] = x = parent[up]
+    while (up := parent[y]) != y:
+        parent[y] = y = parent[up]
+    if x != y:
         if x > y:
             x, y = y, x
         parent[y] = x
-        live -= 1
-        merge_queue.append(y)
+        queue.append(y)
 
-    def coincidence(x: int, y: int) -> None:
-        merge(x, y)
-        while merge_queue:
-            dead = merge_queue.popleft()
-            for column, partner in pairs:
-                target = column[dead]
-                if not target:
-                    continue
-                column[dead] = 0
-                if partner[target] == dead:
-                    partner[target] = 0
-                mu = find(dead)
-                nu = find(target)
-                existing = column[mu]
-                if existing:
-                    merge(nu, existing)
-                else:
-                    mirrored = partner[nu]
-                    if mirrored:
-                        merge(mu, mirrored)
-                    else:
-                        column[mu] = nu
-                        partner[nu] = mu
 
-    def scan_and_fill(alpha: int, forward: list, backward: list) -> None:
-        i, j = 0, len(forward) - 1
-        fwd = bwd = alpha
-        while True:
-            while i <= j:
-                nxt = forward[i][fwd]
-                if not nxt:
-                    break
-                fwd = nxt
-                i += 1
-            if i > j:
-                if fwd != bwd:
-                    coincidence(fwd, bwd)
-                return
-            while j >= i:
-                nxt = backward[j][bwd]
-                if not nxt:
-                    break
-                bwd = nxt
-                j -= 1
-            if j < i:
-                coincidence(fwd, bwd)
-                return
-            if j == i:
-                forward[i][fwd] = bwd
-                backward[i][bwd] = fwd
-                return
-            fwd = define(fwd, forward[i], backward[i])
-            i += 1
+def _coincide(parent: array, pairs: list, x: int, y: int) -> int:
+    """Merge ``x``, ``y`` and what that forces, each into the smaller; count the dead."""
+    # the cosets merged away, in order; processing one may append more
+    queue = array("i")
+    _merge(parent, queue, x, y)
+    for dead in queue:
+        for column, partner in pairs:
+            target = column[dead]
+            if not target:
+                continue
+            column[dead] = 0
+            if partner[target] == dead:
+                partner[target] = 0
+            mu, nu = dead, target
+            while (up := parent[mu]) != mu:
+                parent[mu] = mu = parent[up]
+            while (up := parent[nu]) != nu:
+                parent[nu] = nu = parent[up]
+            if existing := column[mu]:
+                _merge(parent, queue, nu, existing)
+            elif mirrored := partner[nu]:
+                _merge(parent, queue, mu, mirrored)
+            else:
+                column[mu] = nu
+                partner[nu] = mu
+    return len(queue)
 
-    try:
-        alpha = 1
-        while alpha <= defined:
-            if parent[alpha] == alpha:
-                for forward, backward in scans:
-                    scan_and_fill(alpha, forward, backward)
-                    if parent[alpha] != alpha:
-                        break
-                if parent[alpha] == alpha:
-                    for column, partner in pairs:
-                        if not column[alpha]:
-                            define(alpha, column, partner)
-            alpha += 1
-    except _Limit:
-        digest = _hash_text(f"exceeded:{max_cosets}:{defined}")
-        return EnumerationResult("exceeded", None, max_cosets, defined, digest)
-    return EnumerationResult("finished", live, max_cosets, defined, _hash_table(table, ncols))
+
+def _exceeded(max_cosets: int) -> EnumerationResult:
+    digest = _hash_text(f"exceeded:{max_cosets}:{max_cosets}")
+    return EnumerationResult("exceeded", None, max_cosets, max_cosets, digest)
 
 
 def _hash_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _hash_table(table, ncols: int) -> str:
+def _hash_table(table: list) -> str:
     """Hash the closed table after canonical breadth-first renumbering."""
     # coset 1 never dies: merge always keeps the smaller number
-    number = {1: 1}
+    number = [0] * len(table[0])
+    number[1] = 1
     order_list = [1]
     for coset in order_list:
-        for col in range(ncols):
-            target = table[col][coset]
-            if target and target not in number:
-                number[target] = len(order_list) + 1
+        for column in table:
+            target = column[coset]
+            if target and not number[target]:
                 order_list.append(target)
+                number[target] = len(order_list)
     hasher = hashlib.sha256()
     hasher.update(STRATEGY.encode())
     for coset in order_list:
-        row = [number.get(table[col][coset], 0) for col in range(ncols)]
-        hasher.update(bytes(str(row), "ascii"))
+        hasher.update(str([number[column[coset]] for column in table]).encode())
     return hasher.hexdigest()[:16]

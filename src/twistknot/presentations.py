@@ -8,6 +8,7 @@ absolute value, ties broken row-major) so outputs are identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
@@ -314,8 +315,17 @@ class LaurentPolynomial:
         lead_d = den[deg_d]
         quo: dict[int, int] = {}
         rem = dict(num)
-        while rem and max(rem) >= deg_d:
-            deg_r = max(rem)
+        # the remainder's degrees on a max-heap (negated).  Each step clears the
+        # top degree and only touches lower ones, so a popped degree that is no
+        # longer in ``rem`` (it cancelled, or it was pushed twice) is skipped
+        heap = [-e for e in rem]
+        heapify(heap)
+        while heap:
+            deg_r = -heappop(heap)
+            if deg_r not in rem:
+                continue
+            if deg_r < deg_d:
+                break
             lead_r = rem[deg_r]
             if lead_r % lead_d:
                 raise ValueError("inexact Laurent division")
@@ -323,9 +333,13 @@ class LaurentPolynomial:
             quo[deg_r - deg_d] = q
             for e, c in den.items():
                 k = e + deg_r - deg_d
-                rem[k] = rem.get(k, 0) - q * c
-                if not rem[k]:
-                    del rem[k]
+                if k in rem:
+                    rem[k] -= q * c
+                    if not rem[k]:
+                        del rem[k]
+                else:
+                    rem[k] = -q * c
+                    heappush(heap, -k)
         if rem:
             raise ValueError("inexact Laurent division")
         return LaurentPolynomial({e + shift_n - shift_d: c for e, c in quo.items()})

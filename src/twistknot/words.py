@@ -18,11 +18,16 @@ than ``MAX_WORD_RUNS`` runs.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Mapping, Sequence
 
 #: the most runs ``**`` or ``substitute`` builds; a word of 10^6 runs with
 #: distinct exponents holds about 100 MiB
 MAX_WORD_RUNS = 10**6
+
+#: the most cyclic runs ``is_conjugate`` compares; it spells each distinct run
+#: as one character, so a word must not need more than there are code points
+MAX_CONJUGATE_RUNS = sys.maxunicode
 
 
 class SubstitutionError(ValueError):
@@ -289,7 +294,12 @@ def word(*pairs: tuple[str | Generator, int]) -> Word:
 def is_conjugate(x: Word, y: Word) -> bool:
     """Free-group conjugacy: equal cyclic run lists up to rotation.  Read around
     the circle, a core's last run merges into its first when they share a
-    generator (and so, the core being cyclically reduced, a sign)."""
+    generator (and so, the core being cyclically reduced, a sign).
+
+    Each distinct run of ``x`` is spelled as one character, so the rotation
+    test is a linear-time substring search of ``x`` in ``y`` read twice.
+    Cores of more than ``MAX_CONJUGATE_RUNS`` runs are refused with a
+    ``ValueError``."""
     cyclic = []
     for w in (x, y):
         runs = list(w.cyclic_reduce()[0].runs)
@@ -297,8 +307,18 @@ def is_conjugate(x: Word, y: Word) -> bool:
             runs[0] = (runs[0][0], runs[0][1] + runs.pop()[1])
         cyclic.append(runs)
     rx, ry = cyclic
-    n = len(rx)
-    return n == len(ry) and (n == 0 or any(ry[k:] + ry[:k] == rx for k in range(n)))
+    if len(rx) != len(ry):
+        return False
+    if len(rx) > MAX_CONJUGATE_RUNS:
+        raise ValueError(f"is_conjugate takes words of at most {MAX_CONJUGATE_RUNS} runs")
+    letter: dict[tuple[Generator, int], str] = {}
+    for run in rx:
+        letter.setdefault(run, chr(len(letter)))
+    try:
+        spell_y = "".join([letter[run] for run in ry])
+    except KeyError:  # y has a run that x lacks
+        return False
+    return "".join([letter[run] for run in rx]) in spell_y + spell_y
 
 
 def is_positive_excluding(x: Word, forbidden_inverses: Iterable[Generator]) -> bool:

@@ -278,11 +278,24 @@ CATALOG = (
     (12, 1), (13, 1), (-1, 1), (-2, 1), (-3, 1), (-4, 1), (-5, 1), (-6, 1),
 )
 
+#: the workload's other members: every finite p/1 filling of the torus knots
+#: T(2,3), T(2,5), T(3,5) and T(3,8), and unknot fillings whose relator
+#: carries one long power run (``a^-58 b^-1 a`` at -59/1)
+WORKLOAD_FILLINGS = (
+    ((0, 0), (1, 2, 3, 4, 5, 7, 8, 9, 10, 11)),
+    ((1, 0), (7, 8, 9, 11, 12, 13)),
+    ((0, 1), (13, 14, 16, 17)),
+    ((0, 2), (23, 25)),
+    ((-2, 0), (-105, -104, -59, -1, 1, 2, 58, 59, 104, 105)),
+)
+
 
 def _pinned_cases():
     """The catalog at the workload's budget, then 96 seeded 2-generator
     presentations at budgets on either side of each power of two the table
-    grows through; a third of them have one relator, so they are infinite."""
+    grows through; a third of them have one relator, so they are infinite.
+    Then the workload's other fillings and 12 seeded 3-generator
+    presentations with three or four relators."""
     model = closed_form(TwistParams(0, 0))
     for num, den in CATALOG:
         yield f"{num}/{den}", surgered_presentation(model, Slope(num, den), "corrected"), 20_000
@@ -295,6 +308,21 @@ def _pinned_cases():
             for _ in range(1 if i // 12 % 3 == 0 else rng.randint(2, 3))
         )
         yield f"random {i}", Presentation((A, B), relators), budgets[i % 12]
+    for (u, v), nums in WORKLOAD_FILLINGS:
+        model = closed_form(TwistParams(u, v))
+        for num in nums:
+            filling = surgered_presentation(model, Slope(num, 1), "corrected")
+            yield f"({u}, {v}) {num}/1", filling, 20_000
+    rng = random.Random(11)
+    C = Generator("c")
+    for i in range(12):
+        relators = tuple(
+            Word((rng.choice((A, B, C)), rng.choice((-3, -2, -1, 1, 2, 3)))
+                 for _ in range(rng.randint(2, 6)))
+            for _ in range(rng.randint(3, 4))
+        )
+        budget = (500, 2**12 + 1, 20_000)[i % 3]
+        yield f"random 3-generator {i}", Presentation((A, B, C), relators), budget
 
 
 # the first 16 hex digits of sha256(json.dumps(to_json(), sort_keys=True)) for
@@ -331,6 +359,17 @@ ee5a1a5217804f49 86480fe085e0f2bc 7349baa876393771 fca4e4acd0d6a50d
 a0cf455194b51de4 b0e187f6e20b7951 a132007e90d64174 1324fb0bb52b3ae6
 9e4214c19868895d cba05dec5e59166e ee84d9481d1eee6f fdc0d121fe2da29d
 b8cdb2598bc2f95e
+a17e7752a67b88fa 42699a90009f708c ab97566a4eeb3968 191dd532baa78d9e
+66cf3711f4115d29 bf084edb57264693 783ed7905b1e8bd1 782afd10966f9452
+09476f17eef9ee13 dc49e86df8ee9835 db3cef76bdd286ed e9c00d33cc5f5650
+bb4ac744764c58d2 c29d315db621a52f 7ccbd2386ac6fe7f d05079ffc66c3acc
+1241e1143fcd737b fc0d61cbb7faa9f5 02acf3ea843a8f10 a461429e5e0e6027
+2c454fe353f15bfa 8c82107bd2fc76fa 0f7cd3fc7268a668 7d9a523517c8bb15
+334ce97d44883359 ade8213b0cec4279 0d770bcd16eb4d4e 6ab4a4d886a38544
+227d88266d274a83 75beb5d95be0eb76 b40e3093bd3ef7db 1d2dde72e16dadb3
+e6d1a34a01751e74 f59246614203be97 0f856a8d44b4b711 78742abe902b1274
+91ef9ba0033a8939 e45240574d65264e 942788d6279209ac 59b5d1bb3c9ff895
+b26fbb1a72994e2b 10d54692a97bccd0 c9280633c0f64423 971528bf0cc9b779
 """.split()
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import conjugate_relator, invert_relator, random_word
+from sweep_lspace import check_member, sample
 from twistknot.criterion import (
     CriterionError,
     LongitudeForm,
@@ -308,3 +309,12 @@ def test_misspelled_longitude_selector_raises_everywhere():
         with pytest.raises(ValueError, match="longitude selector"):
             call()
 
+
+def test_bounds_are_consistent_with_lspace_knots():
+    # wherever an integer slope is certified, the member's Alexander
+    # polynomial has the L-space pattern and the bound is at least deg Δ - 1
+    # for both longitudes; tests/sweep_lspace.py run as a script checks the
+    # whole box
+    results = {m: check_member(*m) for m in sample(11, 40)}
+    assert {m: failures for m, (failures, _) in results.items() if failures} == {}
+    assert sum(margin is not None for _, margin in results.values()) >= 20

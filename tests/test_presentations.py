@@ -16,6 +16,7 @@ from twistknot.presentations import (
     smith_normal_form,
     tietze_eliminate,
 )
+from twistknot.twisted_torus import TwistParams, closed_form
 from twistknot.words import Generator, Word, word
 
 A, B, C = ABC
@@ -225,6 +226,45 @@ def test_laurent_divexact_errors():
         num.divexact(LaurentPolynomial({0: 2}))
     with pytest.raises(ValueError, match="inexact"):
         LaurentPolynomial({2: 1, 0: 1}).divexact(LaurentPolynomial({1: 1, 0: 1}))
+
+
+def _random_laurent(rng: random.Random, span: int) -> LaurentPolynomial:
+    low = rng.randint(-span, span)
+    while True:
+        poly = LaurentPolynomial(
+            (low + rng.randint(0, span), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(1, 6))
+        )
+        if not poly.is_zero():
+            return poly
+
+
+def test_laurent_divexact_round_trips_products():
+    rng = random.Random(21)
+    for _ in range(300):
+        quotient, divisor = _random_laurent(rng, 12), _random_laurent(rng, 8)
+        assert (quotient * divisor).divexact(divisor) == quotient
+        # a nonzero remainder spanning less than the divisor cannot be divided off
+        divisor_span = max(divisor.coeffs) - min(divisor.coeffs)
+        if divisor_span:
+            low = rng.randint(-20, 20)
+            remainder = LaurentPolynomial({low: 1, low + rng.randrange(divisor_span): 1})
+            perturbed = LaurentPolynomial([*(quotient * divisor).coeffs.items(),
+                                           *remainder.coeffs.items()])
+            with pytest.raises(ValueError, match="inexact"):
+                perturbed.divexact(divisor)
+    # the remainder is swept by degree, not by every exponent in between
+    sparse = LaurentPolynomial({0: 1, 10**12: -2})
+    divisor = LaurentPolynomial({0: -1, 5: 1})
+    assert (sparse * divisor).divexact(divisor) == sparse
+
+
+def test_alexander_of_a_large_member_has_the_family_degree():
+    # (0, v) has a normalized Alexander polynomial of degree 6v + 2 with
+    # 4v + 3 terms; the division that yields it used to rescan the whole
+    # remainder for its top degree at every step
+    delta = alexander_polynomial(closed_form(TwistParams(0, 2000)).presentation)
+    assert (max(delta.coeffs), len(delta.coeffs)) == (12_002, 8_003)
 
 
 def test_alexander_trefoil():

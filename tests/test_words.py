@@ -1,5 +1,6 @@
 import ast
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -460,6 +461,60 @@ def test_word_run_cap_is_exact(monkeypatch):
         with pytest.raises(ValueError, match="over the cap of 10"):
             build()
     assert word(("a", 10**18)) ** 3 == word(("a", 3 * 10**18))  # one run is no repetition
+
+
+def test_is_conjugate_matches_rotation_oracle_on_periodic_words():
+    # powers of short cores repeat the same few runs, so the one-character
+    # spelling of runs meets many partial matches before the right rotation
+    rng = random.Random(12)
+    agreed = conjugate = 0
+    for _ in range(400):
+        core = random_nonempty_word(rng, ABC[:2], 4)
+        x = core ** rng.randint(1, 8) * random_word(rng, ABC[:2], 3)
+        choice = rng.randrange(4)
+        if choice == 0 and x.runs:
+            cut = rng.randrange(len(x.runs))
+            y = Word(x.runs[cut:] + x.runs[:cut])
+        elif choice == 1:
+            y = x.conjugate(random_word(rng, ABC, 5))
+        elif choice == 2:
+            y = core ** rng.randint(1, 8) * random_word(rng, ABC[:2], 3)
+        else:
+            # x with one letter moved: the same letters, mostly in another cyclic order
+            letters = _letters(x)
+            if letters:
+                moved = letters.pop(rng.randrange(len(letters)))
+                letters.insert(rng.randrange(len(letters) + 1), moved)
+            y = Word(letters)
+        expected = _ref_is_conjugate(x, y)
+        assert is_conjugate(x, y) == expected, (x, y)
+        agreed += 1
+        conjugate += expected
+    assert 100 <= conjugate <= agreed - 100
+
+
+def test_is_conjugate_is_linear_in_runs():
+    # comparing each of n rotations took 7.5 s at 32,000 runs; the spelled
+    # substring search takes milliseconds
+    ab, a2b2 = word(("a", 1), ("b", 1)), word(("a", 2), ("b", 2))
+    x = ab**16000 * a2b2**2
+    rotated = a2b2 * ab**16000 * a2b2
+    shuffled = ab**8000 * a2b2 * ab**8000 * a2b2  # the same runs, not a rotation
+    start = time.process_time()
+    assert is_conjugate(x, rotated)
+    assert not is_conjugate(x, shuffled)
+    assert not is_conjugate(ab**16000 * word(("a", 2)), ab**16000 * word(("b", 2)))
+    assert time.process_time() - start < 1.0
+
+
+def test_is_conjugate_run_cap_is_exact(monkeypatch):
+    monkeypatch.setattr(words, "MAX_CONJUGATE_RUNS", 4)
+    ab = word(("a", 1), ("b", 1))
+    assert is_conjugate(ab**2, word(("b", 1)) * ab * word(("a", 1)))
+    with pytest.raises(ValueError, match="at most 4 runs"):
+        is_conjugate(ab**3, ab**3)
+    # different run counts are told apart without spelling either word
+    assert not is_conjugate(ab**3, ab**2)
 
 
 N_HUGE = 10**18
