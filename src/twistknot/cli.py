@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
@@ -288,12 +289,17 @@ def main(argv: list[str] | None = None) -> int:
             records = payload if isinstance(payload, list) else [payload]
             for record in records:
                 _append_ledger(args.ledger, args.command, _ledger_params(args), record)
+        _emit(payload, args.format)
+        sys.stdout.flush()
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # stdout's reader has gone: what is still buffered goes nowhere, so the
+            # flush at exit cannot fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         module = type(exc).__module__
         qualifier = module.rsplit(".", 1)[-1] if module != "builtins" else "twistknot"
         print(f"{qualifier}: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, args.format)
     return 0
 
 

@@ -71,15 +71,6 @@ class LongitudeForm:
     w: Word
     w_positive: bool
 
-    def to_json(self) -> dict:
-        return {
-            "s": self.s,
-            "t": self.t,
-            "w": self.w.to_pairs(),
-            "w_text": self.w.as_text(),
-            "w_positive": self.w_positive,
-        }
-
 
 @dataclass(frozen=True)
 class Slope:
@@ -101,9 +92,6 @@ class Slope:
         if self.q == 0:
             raise CriterionError("1/0 filling has no rational value")
         return Fraction(self.p, self.q)
-
-    def __str__(self) -> str:
-        return f"{self.p}/{self.q}"
 
 
 # -- shape matching ----------------------------------------------------------

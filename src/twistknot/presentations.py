@@ -12,7 +12,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
-from .words import Generator, Word, is_conjugate, is_name
+from .words import Generator, Word, is_conjugate
 
 
 class PresentationError(ValueError):
@@ -27,12 +27,14 @@ MAX_FOX_TERMS = 10**6
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators plus relators; relators are stored freely reduced."""
+    """Generators plus relators; relators are stored freely reduced.  Generators
+    may be given as plain names; they are stored as ``Generator``s."""
 
     generators: tuple[Generator, ...]
     relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "generators", tuple(map(Generator, self.generators)))
         declared = set(self.generators)
         if len(declared) != len(self.generators):
             raise PresentationError("duplicate generator")
@@ -41,12 +43,6 @@ class Presentation:
             if undeclared:
                 names = ", ".join(sorted(g.name for g in undeclared))
                 raise PresentationError(f"relator uses undeclared generator(s): {names}")
-
-    def generator(self, name: str) -> Generator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise PresentationError(f"no generator named {name!r}")
 
     def relator_matrix(self) -> list[list[int]]:
         """Exponent-sum matrix, one row per relator, one column per generator."""
@@ -64,11 +60,8 @@ class Presentation:
             isinstance(data.get(key), list) for key in ("generators", "relators")
         ):
             raise PresentationError('a presentation needs "generators" and "relators" lists')
-        if not all(is_name(n) for n in data["generators"]):
-            raise PresentationError("generator names must be nonempty strings")
-        gens = tuple(Generator(n) for n in data["generators"])
         rels = tuple(Word.from_pairs(p) for p in data["relators"])
-        return Presentation(gens, rels)
+        return Presentation(tuple(data["generators"]), rels)
 
 
 def add_relators(p: Presentation, rs: Iterable[Word]) -> Presentation:
@@ -76,17 +69,17 @@ def add_relators(p: Presentation, rs: Iterable[Word]) -> Presentation:
     return Presentation(p.generators, p.relators + tuple(rs))
 
 
-def tietze_eliminate(p: Presentation, gen: Generator, defining: Word) -> Presentation:
-    """Remove ``gen``, rewriting every relator with ``gen := defining``.
+def tietze_eliminate(p: Presentation, gen: str, defining: Word) -> Presentation:
+    """Remove the generator named ``gen``, rewriting every relator with ``gen := defining``.
 
     Exactly one relator equivalent (up to conjugacy and inversion) to
     ``gen * defining^-1`` is consumed; when several qualify the first in
     stored order is taken.
     """
     if gen not in p.generators:
-        raise PresentationError(f"generator {gen.name!r} not present")
+        raise PresentationError(f"generator {gen!r} not present")
     if gen in defining.generator_set():
-        raise PresentationError(f"defining word for {gen.name!r} mentions it")
+        raise PresentationError(f"defining word for {gen!r} mentions it")
     target = Word(((gen, 1),)) * defining.inverse()
     consumed = None
     for i, rel in enumerate(p.relators):
@@ -95,7 +88,7 @@ def tietze_eliminate(p: Presentation, gen: Generator, defining: Word) -> Present
             break
     if consumed is None:
         raise PresentationError(
-            f"no relator expresses {gen.name!r} as the given defining word"
+            f"no relator expresses {gen!r} as the given defining word"
         )
     mapping = {g: Word(((g, 1),)) for g in p.generators if g != gen}
     mapping[gen] = defining

@@ -17,7 +17,7 @@ on the derived model rather than silently discarded.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Mapping
 
@@ -29,7 +29,7 @@ from .wirtinger import (
     peripheral_system,
     wirtinger_presentation,
 )
-from .words import Generator, Word, is_conjugate, word
+from .words import Word, is_conjugate, word
 
 
 class PipelineError(RuntimeError):
@@ -39,16 +39,6 @@ class PipelineError(RuntimeError):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
 
-
-_A = Generator("a")
-_B = Generator("b")
-_G = Generator("g")
-_H = Generator("h")
-_ALPHA = Generator("alpha")
-_BETA = Generator("beta")
-_GAMMA = Generator("gamma")
-_XI = Generator("xi")
-_PSI = Generator("psi")
 
 _BA = word(("b", 1), ("a", 1))
 
@@ -107,10 +97,10 @@ class SubstitutionChain:
     ``b = h a^-1``.  Maps send generators to words over the other side.
     """
 
-    stage1_forward: Mapping[Generator, Word]
-    stage1_backward: Mapping[Generator, Word]
-    stage2_forward: Mapping[Generator, Word]
-    stage2_backward: Mapping[Generator, Word]
+    stage1_forward: Mapping[str, Word]
+    stage1_backward: Mapping[str, Word]
+    stage2_forward: Mapping[str, Word]
+    stage2_backward: Mapping[str, Word]
 
     def validate(self) -> None:
         """Check the testable composite-identity directions by free reduction."""
@@ -122,7 +112,7 @@ class SubstitutionChain:
             for gen, image in there.items():
                 got = image.substitute(back)
                 if got != Word(((gen, 1),)):
-                    raise ValueError(f"{label} does not invert on {gen.name}: {got.as_text()}")
+                    raise ValueError(f"{label} does not invert on {gen}: {got.as_text()}")
 
 
 def substitution_chain(params: TwistParams) -> SubstitutionChain:
@@ -131,23 +121,23 @@ def substitution_chain(params: TwistParams) -> SubstitutionChain:
     h = word(("h", 1))
     hvg = h ** (-v) * g
     stage1_forward = {
-        _G: word(("xi", 1), ("gamma", -1)),
-        _H: word(("alpha", 1), ("beta", 1), ("gamma", 1)),
+        "g": word(("xi", 1), ("gamma", -1)),
+        "h": word(("alpha", 1), ("beta", 1), ("gamma", 1)),
     }
     stage1_backward = {
-        _XI: h ** (v + 1),
-        _GAMMA: g.inverse() * h ** (v + 1),
-        _PSI: hvg**u,
-        _ALPHA: h ** (v + 1) * g.inverse(),
-        _BETA: g * h ** (-2 * v - 1) * g,
+        "xi": h ** (v + 1),
+        "gamma": g.inverse() * h ** (v + 1),
+        "psi": hvg**u,
+        "alpha": h ** (v + 1) * g.inverse(),
+        "beta": g * h ** (-2 * v - 1) * g,
     }
     stage2_forward = {
-        _A: g.inverse() * h ** (v + 1),
-        _B: hvg,
+        "a": g.inverse() * h ** (v + 1),
+        "b": hvg,
     }
     stage2_backward = {
-        _H: _BA,
-        _G: _BA**v * word(("b", 1)),
+        "h": _BA,
+        "g": _BA**v * word(("b", 1)),
     }
     return SubstitutionChain(stage1_forward, stage1_backward, stage2_forward, stage2_backward)
 
@@ -166,9 +156,9 @@ class KnotGroupModel:
     t: int
     w: Word
     w_blocks_positive: bool
-    longitude_precorrection: Word = field(default_factory=Word)
-    derived: bool = False
-    twist_residue: Word = field(default_factory=Word)
+    longitude_precorrection: Word
+    derived: bool
+    twist_residue: Word
 
     def longitude(self, use: str) -> Word:
         return self.longitude_paper if _selects_paper(use) else self.longitude_corrected
@@ -216,7 +206,7 @@ def _assemble_model(
     longitude_precorrection: Word,
     *,
     derived: bool,
-    twist_residue: Word = Word(),
+    twist_residue: Word,
 ) -> KnotGroupModel:
     a = word(("a", 1))
     w = w_template(params)
@@ -248,13 +238,15 @@ def closed_form(params: TwistParams) -> KnotGroupModel:
     """Knot group model built directly from the parametric templates."""
     u, v = params.u, params.v
     relator = relator_template(params)
-    presentation = Presentation((_A, _B), (relator,))
+    presentation = Presentation(("a", "b"), (relator,))
     a = word(("a", 1))
     b = word(("b", 1))
     block = _BA**v * b ** (u + 1)
     precorrection = _BA ** (v + 1) * block * block
     longitude_paper = a ** (-s_paper_value(params)) * w_template(params) * a
-    return _assemble_model(params, presentation, longitude_paper, precorrection, derived=False)
+    return _assemble_model(
+        params, presentation, longitude_paper, precorrection, derived=False, twist_residue=Word()
+    )
 
 
 @cache
@@ -270,7 +262,7 @@ def _link_prefix() -> tuple[Presentation, Word]:
     p = wirtinger_presentation(diagram)
     try:
         for name, defining in DELTA_ELIMINATIONS:
-            p = tietze_eliminate(p, Generator(name), defining)
+            p = tietze_eliminate(p, name, defining)
     except PresentationError as exc:
         raise PipelineError("eliminate-deltas", str(exc)) from exc
     return p, peripheral_system(diagram, "l0").longitude
@@ -309,7 +301,7 @@ def derive_intermediates(params: TwistParams) -> Derivation:
     images = tuple(rel.substitute(phi1) for rel in filled.relators)
     relator_gh = images[2].inverse()
     # the strand component's first arc alpha is its meridian
-    meridian_ab = phi1[_ALPHA].substitute(phi2)
+    meridian_ab = phi1["alpha"].substitute(phi2)
     long_ab = l0.substitute(phi1).substitute(phi2)
     # rebase: move the leading (ba)^(v+1) block to the end, then add the
     # meridian corrections a^-1 and a^(-3(3v+2)-2u)
@@ -345,7 +337,7 @@ def derive_from_diagram(params: TwistParams) -> KnotGroupModel:
         raise PipelineError("two-generator", "meridian image is not conjugate to a")
     return _assemble_model(
         params,
-        Presentation((_A, _B), (d.relator_ab,)),
+        Presentation(("a", "b"), (d.relator_ab,)),
         d.longitude_paper,
         d.long_ab,
         derived=True,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .presentations import Presentation, PresentationError, add_relators
-from .words import Generator, Word, is_integer, is_name, word
+from .words import Word, is_integer, is_name, word
 
 
 class DiagramError(ValueError):
@@ -87,8 +87,8 @@ class LinkDiagram:
             raise DiagramError("components must partition the arcs")
         if len(self.crossings) != len(self.arcs):
             raise DiagramError("crossing count must equal arc count")
-        seen_in: dict[str, str] = {}
-        seen_out: dict[str, str] = {}
+        seen_in: set[str] = set()
+        seen_out: set[str] = set()
         arcset = set(self.arcs)
         for c in self.crossings:
             for arc in (c.over, c.under_in, c.under_out):
@@ -98,11 +98,10 @@ class LinkDiagram:
                 raise DiagramError(f"arc {c.under_in!r} enters two crossings")
             if c.under_out in seen_out:
                 raise DiagramError(f"arc {c.under_out!r} leaves two crossings")
-            seen_in[c.under_in] = c.id
-            seen_out[c.under_out] = c.id
-        dangling = arcset - set(seen_in) | arcset - set(seen_out)
-        if dangling:
-            raise DiagramError(f"dangling arc(s): {', '.join(sorted(dangling))}")
+            seen_in.add(c.under_in)
+            seen_out.add(c.under_out)
+        # as many crossings as distinct arcs, each entering and leaving a different
+        # one: every arc enters exactly one crossing and leaves exactly one
         nxt = {c.under_in: c.under_out for c in self.crossings}
         for comp in self.components:
             for i, arc in enumerate(comp):
@@ -120,9 +119,7 @@ class LinkDiagram:
 
 def wirtinger_presentation(d: LinkDiagram) -> Presentation:
     """One generator per arc, one crossing relator per crossing."""
-    gens = tuple(Generator(a) for a in d.arcs)
-    rels = tuple(c.relator() for c in d.crossings)
-    return Presentation(gens, rels)
+    return Presentation(d.arcs, tuple(c.relator() for c in d.crossings))
 
 
 @dataclass(frozen=True)
@@ -151,15 +148,12 @@ def peripheral_system(d: LinkDiagram, component: str) -> PeripheralSystem:
     for arc in comp:
         c = entering[arc]
         pairs.append((c.over, c.sign))
-    longitude = word(*pairs)
+    longitude = Word(pairs)
     if d.eliminations:
-        mapping = {Generator(a): Word(((Generator(a), 1),)) for a in d.arcs}
-        for name, expr in d.eliminations:
-            mapping[Generator(name)] = expr
+        mapping = {a: word((a, 1)) for a in d.arcs} | dict(d.eliminations)
         longitude = longitude.substitute(mapping)
     longitude, _ = longitude.cyclic_reduce()
-    own = [Generator(a) for a in comp]
-    framing = sum(longitude.exponent_sum(g) for g in own)
+    framing = sum(longitude.exponent_sum(a) for a in comp)
     return PeripheralSystem(
         component=d.component_names[idx],
         meridian=word((comp[0], 1)),
@@ -227,16 +221,15 @@ def add_twist_relations(p: Presentation, u: int, v: int) -> Presentation:
     """Append the two twist-region surgery relators.
 
     Filling the upper circle adds ``xi (alpha beta gamma)^(-v-1)``; filling the
-    lower circle adds ``psi (alpha beta)^u``.  Requires ``v >= 0``.
+    lower circle adds ``psi (alpha beta)^u``.  ``PresentationError`` unless
+    ``v >= 0`` and ``p`` declares every generator the two relators use.
     """
     if v < 0:
         raise PresentationError(f"twist parameter v must be >= 0, got {v}")
-    xi = p.generator("xi")
-    psi = p.generator("psi")
     abc = word(("alpha", 1), ("beta", 1), ("gamma", 1))
     ab = word(("alpha", 1), ("beta", 1))
-    upper = Word(((xi, 1),)) * abc ** (-v - 1)
-    lower = Word(((psi, 1),)) * ab**u
+    upper = word(("xi", 1)) * abc ** (-v - 1)
+    lower = word(("psi", 1)) * ab**u
     return add_relators(p, [upper, lower])
 
 

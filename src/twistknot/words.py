@@ -5,8 +5,9 @@ immutable, so every equality test is a normal-form comparison and values can
 be shared freely between threads.  Exponents are plain Python integers and
 therefore unbounded; nothing in this module can silently overflow.
 
-Outside data (``Word(pairs)``, ``word``, ``from_pairs``, ``parse``) is freely
-reduced once, at construction.  Every operation here builds its result from
+Outside data enters through one door, ``Word(pairs)`` (``word``, ``from_pairs``
+and ``parse`` all pass through it), which checks every name and exponent and
+freely reduces the runs once.  Every operation here builds its result from
 runs that are already reduced, so it cancels or merges only at the seam where
 two reduced run lists meet: the product of two reduced words reduces there
 and nowhere else (Lyndon-Schupp, *Combinatorial Group Theory*, I.1).
@@ -38,13 +39,17 @@ class Generator(str):
     """A named free-group generator.
 
     A generator is its name: a nonempty ``str`` that compares, hashes and
-    sorts exactly as that name, so ``Generator("a") == "a"``.  Run merging,
-    dict lookups and sorting therefore compare at C level.
+    sorts exactly as that name, so ``Generator("a") == "a"`` and a plain name
+    may stand wherever a generator is looked up.  Run merging, dict lookups
+    and sorting therefore compare at C level.  ``Generator(g)`` is ``g`` when
+    ``g`` already is a generator.
     """
 
     __slots__ = ()
 
     def __new__(cls, name: str) -> "Generator":
+        if type(name) is Generator:
+            return name
         if not is_name(name):
             raise ValueError("generator name must be a nonempty string")
         return super().__new__(cls, name)
@@ -64,10 +69,18 @@ def is_integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _reduce_runs(pairs: Iterable[tuple[Generator, int]]) -> tuple[tuple[Generator, int], ...]:
-    """Merge adjacent runs of the same generator and drop zero exponents."""
+_PAIRS = "a word must be a list of [generator name, integer exponent] pairs"
+
+
+def _reduce_runs(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[Generator, int], ...]:
+    """Check each name and exponent, then merge adjacent runs of the same
+    generator and drop zero exponents."""
     out: list[tuple[Generator, int]] = []
     for gen, exp in pairs:
+        if type(gen) is not Generator:
+            gen = Generator(gen)
+        if type(exp) is not int and not is_integer(exp):
+            raise ValueError(_PAIRS)
         if exp == 0:
             continue
         if out and out[-1][0] == gen:
@@ -109,11 +122,15 @@ def _reduced(runs: tuple[tuple[Generator, int], ...]) -> "Word":
 
 
 class Word:
-    """A freely reduced word, the identity when empty."""
+    """A freely reduced word, the identity when empty.
+
+    ``Word(pairs)`` takes ``(name, exponent)`` pairs, names plain or already
+    ``Generator``; ``ValueError`` on a name that is no nonempty string or an
+    exponent that is no integer."""
 
     __slots__ = ("runs",)
 
-    def __init__(self, pairs: Iterable[tuple[Generator, int]] = ()) -> None:
+    def __init__(self, pairs: Iterable[tuple[str, int]] = ()) -> None:
         object.__setattr__(self, "runs", _reduce_runs(pairs))
 
     def __setattr__(self, name: str, value) -> None:
@@ -147,7 +164,7 @@ class Word:
             return "1"
         parts = []
         for gen, exp in self.runs:
-            parts.append(gen.name if exp == 1 else f"{gen.name}^{exp}")
+            parts.append(gen if exp == 1 else f"{gen}^{exp}")
         return " ".join(parts)
 
     # -- group operations --------------------------------------------------
@@ -265,30 +282,26 @@ class Word:
     def from_pairs(pairs: Sequence[Sequence]) -> "Word":
         """Inverse of ``to_pairs``; ``ValueError`` on anything but ``[name, int]`` pairs."""
         if not isinstance(pairs, list | tuple) or not all(
-            isinstance(p, list | tuple) and len(p) == 2 and is_name(p[0]) and is_integer(p[1])
-            for p in pairs
+            isinstance(p, list | tuple) and len(p) == 2 for p in pairs
         ):
-            raise ValueError("a word must be a list of [generator name, integer exponent] pairs")
-        return Word((Generator(name), exp) for name, exp in pairs)
+            raise ValueError(_PAIRS)
+        return Word(pairs)
 
     @staticmethod
     def parse(text: str) -> "Word":
         """Inverse of ``as_text``: ``"b a b^-2 a"`` -> Word, ``"1"`` -> identity."""
         if text == "1":
             return Word()
-        pairs = []
-        for token in text.split(" "):
-            name, caret, exp = token.partition("^")
-            try:
-                pairs.append((Generator(name), int(exp) if caret else 1))
-            except ValueError:
-                raise ValueError(f"malformed word text {text!r}") from None
-        return Word(pairs)
+        tokens = [token.partition("^") for token in text.split(" ")]
+        try:
+            return Word((name, int(exp) if caret else 1) for name, caret, exp in tokens)
+        except ValueError:
+            raise ValueError(f"malformed word text {text!r}") from None
 
 
-def word(*pairs: tuple[str | Generator, int]) -> Word:
-    """Build a word from ``(generator, exponent)`` pairs; names are accepted."""
-    return Word((g if isinstance(g, Generator) else Generator(g), e) for g, e in pairs)
+def word(*pairs: tuple[str, int]) -> Word:
+    """``Word(pairs)``, the pairs given as arguments."""
+    return Word(pairs)
 
 
 def is_conjugate(x: Word, y: Word) -> bool:

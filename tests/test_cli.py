@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -608,3 +610,31 @@ def test_golden_outputs(capsys):
     for line, code, digest in GOLDEN:
         got, out, _ = run(capsys, *line.split())
         assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest), line
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_ends_in_one_line(unbuffered):
+    # the reading end is closed before the command starts, so its first write
+    # fails; a buffered stdout must not fail again when it is flushed at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "twistknot", "alexander", "--u", "0", "--v", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "twistknot: [Errno 32] Broken pipe\n"
+
+
+def test_inconsistent_diagram_file_exits_1(tmp_path, capsys):
+    data = diagram_to_json(builtin_link_L())
+    data["crossings"][0]["over"] = "nowhere"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    err = _one_line_error(capsys, ["wirtinger", "--diagram", str(path)], 1)
+    assert err == "wirtinger: crossing P1: unknown arc 'nowhere'\n"

@@ -7,8 +7,10 @@ from conftest import conjugate_relator, invert_relator, random_word
 from sweep_lspace import check_member, sample
 from twistknot.criterion import (
     CriterionError,
+    ITShape,
     LongitudeForm,
     Slope,
+    Verdict,
     check_family_slope,
     decide,
     match_it_shape,
@@ -236,6 +238,14 @@ def test_decide_no_shape():
     verdict = decide(None, form, Slope(10, 1))
     assert verdict.kind == "NotApplicable"
     assert "shape" in verdict.reason
+
+
+@pytest.mark.parametrize("m, k, reason", [(-1, 0, "m, n must be >= 0"), (1, -1, "k must be >= 0")])
+def test_decide_checks_exponent_signs_before_positivity(m, k, reason):
+    # match_it_shape never yields these shapes; decide refuses them first
+    shape = ITShape(A, B, m, 1, 0, k, Word(), Word())
+    form = LongitudeForm(5, -1, word(("b", -1)), False)
+    assert decide(shape, form, Slope(10, 1)) == Verdict("NotApplicable", reason)
 
 
 def test_decide_monotone_in_slope():

@@ -303,3 +303,15 @@ def test_presentation_json_roundtrip():
         "relators": [[["b", 1], ["a", 1], ["b", -2], ["a", 1]]],
     }
     assert Presentation.from_json(data) == TREFOIL
+
+
+def test_presentation_takes_plain_names():
+    p = Presentation(("a", "b"), (word(("b", 1), ("a", 1), ("b", -2), ("a", 1)),))
+    assert p == TREFOIL and all(type(g) is Generator for g in p.generators)
+    assert Presentation.from_json(p.to_json()) == p
+    xy = Presentation(("x", "y"), (word(("x", 1), ("y", -1)),))
+    assert tietze_eliminate(xy, "x", word(("y", 1))) == Presentation(("y",), ())
+    with pytest.raises(PresentationError, match="duplicate"):
+        Presentation(("a", Generator("a")), ())
+    with pytest.raises(ValueError, match="generator name must be a nonempty string"):
+        Presentation(("a", ""), ())

@@ -295,3 +295,44 @@ def test_pd_code_figure_eight():
     rels = [r for r in q.relators if not r.is_identity]
     keep = Presentation(q.generators, (rels[0],))
     assert alexander_polynomial(keep) == LaurentPolynomial({0: 1, 1: -3, 2: 1})
+
+
+def test_add_twist_relations_needs_the_twist_generators():
+    p = Presentation(("alpha", "beta", "gamma", "xi"), ())
+    with pytest.raises(PresentationError, match="undeclared generator.*psi"):
+        add_twist_relations(p, 0, 0)
+
+
+def _trefoil_json(path, value) -> dict:
+    """The three-crossing trefoil as diagram JSON, with the field at the key
+    ``path`` set to ``value``."""
+    data = diagram_to_json(_trefoil_diagram())
+    *steps, key = path
+    target = data
+    for step in steps:
+        target = target[step]
+    target[key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("component_names",), ["k0", "k1"], "one name per component required"),
+        (("crossings", 0, "over"), "w", "crossing T1: unknown arc 'w'"),
+        (("crossings", 1, "under_in"), "x", "arc 'x' enters two crossings"),
+        (("crossings", 1, "under_out"), "y", "arc 'y' leaves two crossings"),
+        (("components", 0), ["x", "z", "y"], "component order inconsistent at arc 'x'"),
+    ],
+)
+def test_diagram_from_json_refuses_an_inconsistent_diagram(path, value, message):
+    with pytest.raises(DiagramError) as err:
+        diagram_from_json(_trefoil_json(path, value))
+    assert str(err.value) == message
+
+
+def test_peripheral_system_refuses_an_unknown_component():
+    d = diagram_from_json(_trefoil_json(("component_names",), ["k0"]))
+    assert peripheral_system(d, "k0").meridian == word(("x", 1))
+    with pytest.raises(DiagramError, match="no component named 'c0'"):
+        peripheral_system(d, "c0")

@@ -451,6 +451,36 @@ def test_only_the_public_constructor_reduces():
     assert callers == {("words", "__init__")}
 
 
+def test_only_words_calls_generator():
+    # outside data becomes generators only through Word(pairs); Presentation
+    # maps its names through the same class, and everything else passes names
+    callers = set()
+    for path in Path(words.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Generator":
+                callers.add(path.stem)
+    assert callers == {"words"}
+
+
+def test_word_checks_outside_pairs():
+    assert Word([("a", 1)]).as_text() == "a"
+    assert all(type(g) is Generator for g, _ in word(("a", 2), (G, 1)).runs)
+    assert Generator(G) is G
+    for build in (lambda: word(("a", 0.5)), lambda: word(("a", True)), lambda: Word([("a", 0.0)])):
+        with pytest.raises(ValueError, match="pairs"):
+            build()
+    for build in (lambda: Word([(5, 1)]), lambda: word(("", 0)), lambda: Word([(None, 2)])):
+        with pytest.raises(ValueError, match="generator name must be a nonempty string"):
+            build()
+
+
+@given(_RUNS)
+def test_word_and_from_pairs_agree(pairs):
+    w = Word(pairs)
+    assert w == Word.from_pairs(pairs) == Word.from_pairs([list(p) for p in pairs])
+    assert w == word(*pairs)
+
+
 def test_word_run_cap_is_exact(monkeypatch):
     monkeypatch.setattr(words, "MAX_WORD_RUNS", 10)
     ab, aba = word(("a", 1), ("b", 1)), word(("a", 1), ("b", 1), ("a", 1))
