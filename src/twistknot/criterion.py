@@ -21,6 +21,12 @@ from .twisted_torus import KnotGroupModel, TwistParams, closed_form
 from .words import Generator, Word, is_positive_excluding
 
 
+#: shape matching expands the relator into single letters and indexes every
+#: rotation; past this many letters it is refused (at the cap, about 6 s and
+#: 164 MiB on a 2-vCPU host)
+MAX_SHAPE_LETTERS = 10**5
+
+
 class CriterionError(ValueError):
     pass
 
@@ -138,7 +144,8 @@ def match_it_shape(p: Presentation) -> list[ITShape]:
     cost grows with the number of shapes, quadratic in ``u`` for a family
     member.  Conjugators are canonical (cyclically reduced), so each is
     determined up to the stray powers of ``a`` that a conjugating word may
-    absorb.  Sorted by ``|w1| + |w2|`` ascending.
+    absorb.  Sorted by ``|w1| + |w2|`` ascending.  ``CriterionError`` on a
+    cyclically reduced relator of more than ``MAX_SHAPE_LETTERS`` letters.
     """
     if len(p.generators) != 2:
         raise CriterionError(
@@ -149,6 +156,10 @@ def match_it_shape(p: Presentation) -> list[ITShape]:
             f"shape matching requires exactly 1 relator, got {len(p.relators)}"
         )
     core, _ = p.relators[0].cyclic_reduce()
+    if len(core) > MAX_SHAPE_LETTERS:
+        raise CriterionError(
+            f"relator has {len(core)} letters; shape matching takes at most {MAX_SHAPE_LETTERS}"
+        )
     if len(core.generator_set()) < 2:
         return []
     g0, g1 = p.generators
@@ -306,7 +317,6 @@ def check_family_slope(
 ) -> CriterionReport:
     """Match the family member's relator and decide one slope."""
     model, shape, form = _family_setup(params, use)
-    a = model.presentation.generators[0]
     return CriterionReport(
         params=params,
         slope=slope,
@@ -319,9 +329,7 @@ def check_family_slope(
         longitude_used=use,
         w=model.w,
         w_positive_blocks=model.w_blocks_positive,
-        w_positive_reduced=is_positive_excluding(
-            model.w, model.w.generator_set() | {a}
-        ),
+        w_positive_reduced=is_positive_excluding(model.w, model.presentation.generators),
         verdict=decide(shape, form, slope),
     )
 

@@ -255,8 +255,9 @@ def _link_prefix() -> tuple[Presentation, Word]:
 
     Returns the built-in link's Wirtinger presentation with the seven delta
     arcs eliminated, and the diagram longitude of the strand component ``l0``
-    in the five remaining generators.  Computed on first use, then shared;
-    both values are immutable.
+    rewritten through the same eliminations into the five remaining
+    generators.  Computed on first use, then shared; both values are
+    immutable.
     """
     diagram = builtin_link_L()
     p = wirtinger_presentation(diagram)
@@ -265,7 +266,9 @@ def _link_prefix() -> tuple[Presentation, Word]:
             p = tietze_eliminate(p, name, defining)
     except PresentationError as exc:
         raise PipelineError("eliminate-deltas", str(exc)) from exc
-    return p, peripheral_system(diagram, "l0").longitude
+    mapping = {g: word((g, 1)) for g in p.generators} | dict(DELTA_ELIMINATIONS)
+    longitude, _ = peripheral_system(diagram, "l0").longitude.substitute(mapping).cyclic_reduce()
+    return p, longitude
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ in their intended display rotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .presentations import Presentation, PresentationError, add_relators
@@ -62,18 +62,12 @@ class Crossing:
 
 @dataclass(frozen=True)
 class LinkDiagram:
-    """Arcs, their partition into oriented components, and signed crossings.
-
-    ``eliminations`` optionally expresses redundant arc generators in terms of
-    the others; peripheral words are rewritten through it so they come out in
-    the generators of the simplified link group presentation.
-    """
+    """Arcs, their partition into oriented components, and signed crossings."""
 
     arcs: tuple[str, ...]
     components: tuple[tuple[str, ...], ...]
     crossings: tuple[Crossing, ...]
     component_names: tuple[str, ...] = ()
-    eliminations: tuple[tuple[str, Word], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.component_names:
@@ -82,6 +76,8 @@ class LinkDiagram:
             )
         if len(self.component_names) != len(self.components):
             raise DiagramError("one name per component required")
+        if len(set(self.component_names)) != len(self.component_names):
+            raise DiagramError("component names must be distinct")
         flat = [a for comp in self.components for a in comp]
         if sorted(flat) != sorted(self.arcs) or len(set(self.arcs)) != len(self.arcs):
             raise DiagramError("components must partition the arcs")
@@ -135,8 +131,8 @@ def peripheral_system(d: LinkDiagram, component: str) -> PeripheralSystem:
 
     The meridian is the component's first arc generator.  The longitude is the
     product of the over-arc generators (raised to the crossing signs) met when
-    traversing the component from that arc, rewritten through the diagram's
-    arc eliminations and cyclically reduced to its core.  ``framing_class`` is
+    traversing the component from that arc, in the diagram's own arc
+    generators and cyclically reduced to its core.  ``framing_class`` is
     the longitude's total exponent sum on the component's own arcs, i.e. its
     class against the component's meridian in the homology of the link
     complement; it vanishes exactly for a preferred longitude.
@@ -148,11 +144,7 @@ def peripheral_system(d: LinkDiagram, component: str) -> PeripheralSystem:
     for arc in comp:
         c = entering[arc]
         pairs.append((c.over, c.sign))
-    longitude = Word(pairs)
-    if d.eliminations:
-        mapping = {a: word((a, 1)) for a in d.arcs} | dict(d.eliminations)
-        longitude = longitude.substitute(mapping)
-    longitude, _ = longitude.cyclic_reduce()
+    longitude, _ = Word(pairs).cyclic_reduce()
     framing = sum(longitude.exponent_sum(a) for a in comp)
     return PeripheralSystem(
         component=d.component_names[idx],
@@ -166,7 +158,8 @@ def peripheral_system(d: LinkDiagram, component: str) -> PeripheralSystem:
 
 
 #: Ordered defining words consumed when erasing the redundant arc generators
-#: delta1..delta7 from the built-in link's Wirtinger presentation.
+#: delta1..delta7 from the built-in link's Wirtinger presentation; each is a
+#: word in the five arcs that remain.
 DELTA_ELIMINATIONS: tuple[tuple[str, Word], ...] = (
     ("delta1", Word.parse("alpha^-1 xi alpha")),
     ("delta2", Word.parse("gamma xi gamma^-1")),
@@ -213,7 +206,6 @@ def builtin_link_L() -> LinkDiagram:
         ),
         crossings=crossings,
         component_names=("l0", "l1", "l2"),
-        eliminations=DELTA_ELIMINATIONS,
     )
 
 
@@ -245,17 +237,7 @@ def diagram_to_json(d: LinkDiagram) -> dict:
         "arcs": list(d.arcs),
         "components": [list(c) for c in d.components],
         "component_names": list(d.component_names),
-        "crossings": [
-            {
-                "id": c.id,
-                "over": c.over,
-                "under_in": c.under_in,
-                "under_out": c.under_out,
-                "sign": c.sign,
-                "form": c.form,
-            }
-            for c in d.crossings
-        ],
+        "crossings": [asdict(c) for c in d.crossings],
     }
 
 

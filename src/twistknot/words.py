@@ -19,6 +19,7 @@ than ``MAX_WORD_RUNS`` runs.
 
 from __future__ import annotations
 
+import re
 import sys
 from typing import Iterable, Mapping, Sequence
 
@@ -70,6 +71,9 @@ def is_integer(value) -> bool:
 
 
 _PAIRS = "a word must be a list of [generator name, integer exponent] pairs"
+
+#: the exponents ``as_text`` writes, the only ones ``parse`` reads
+_EXPONENT = re.compile(r"-?[0-9]+")
 
 
 def _reduce_runs(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[Generator, int], ...]:
@@ -289,14 +293,18 @@ class Word:
 
     @staticmethod
     def parse(text: str) -> "Word":
-        """Inverse of ``as_text``: ``"b a b^-2 a"`` -> Word, ``"1"`` -> identity."""
+        """Inverse of ``as_text``: ``"b a b^-2 a"`` -> Word, ``"1"`` -> identity.
+
+        An exponent is ASCII ``-?[0-9]+``; ``ValueError`` on any other text."""
         if text == "1":
             return Word()
         tokens = [token.partition("^") for token in text.split(" ")]
-        try:
-            return Word((name, int(exp) if caret else 1) for name, caret, exp in tokens)
-        except ValueError:
-            raise ValueError(f"malformed word text {text!r}") from None
+        if all(_EXPONENT.fullmatch(exp) for _, caret, exp in tokens if caret):
+            try:
+                return Word((name, int(exp) if caret else 1) for name, caret, exp in tokens)
+            except ValueError:  # an empty name, or more digits than int() reads
+                pass
+        raise ValueError(f"malformed word text {text!r}")
 
 
 def word(*pairs: tuple[str, int]) -> Word:

@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistknot import cli, presentations
+from twistknot import cli, criterion, presentations
 from twistknot.cli import build_parser, main
 from twistknot.presentations import Presentation
 from twistknot.wirtinger import (
@@ -638,3 +638,38 @@ def test_inconsistent_diagram_file_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(data), encoding="utf-8")
     err = _one_line_error(capsys, ["wirtinger", "--diagram", str(path)], 1)
     assert err == "wirtinger: crossing P1: unknown arc 'nowhere'\n"
+
+
+def test_repeated_component_names_exit_1(tmp_path, capsys):
+    data = diagram_to_json(builtin_link_L())
+    data["component_names"] = ["l0", "l0", "l2"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    err = _one_line_error(capsys, ["wirtinger", "--diagram", str(path)], 1)
+    assert err == "wirtinger: component names must be distinct\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-slope", "--u", "0", "--v", "1", "--p", "5", "--q", "1"],
+        ["bound", "--u", "0", "--v", "1"],
+    ],
+)
+def test_shape_letter_cap_is_inclusive(capsys, monkeypatch, argv):
+    # the (0, 1) relator is 13 letters long, cyclically reduced
+    monkeypatch.setattr(criterion, "MAX_SHAPE_LETTERS", 13)
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(criterion, "MAX_SHAPE_LETTERS", 12)
+    err = _one_line_error(capsys, argv, 1)
+    assert err == "criterion: relator has 13 letters; shape matching takes at most 12\n"
+
+
+def test_oversized_relator_is_refused_before_matching(capsys):
+    # 960,005 letters: matching them ran 55 s and peaked at 1.4 GiB before the
+    # payload cap refused the report
+    start = time.perf_counter()
+    argv = ["check-slope", "--u", "0", "--v", "120000", "--p", "5", "--q", "1"]
+    err = _one_line_error(capsys, argv, 1)
+    assert err == "criterion: relator has 960005 letters; shape matching takes at most 100000\n"
+    assert time.perf_counter() - start < 5

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import conjugate_relator, invert_relator, random_word
 from sweep_lspace import check_member, sample
+from twistknot import criterion
 from twistknot.criterion import (
     CriterionError,
     ITShape,
@@ -101,6 +102,22 @@ def test_match_requires_two_generators_one_relator():
         match_it_shape(Presentation((A,), (word(("a", 3)),)))
     with pytest.raises(CriterionError, match="1 relator"):
         match_it_shape(Presentation((A, B), (word(("a", 1)), word(("b", 1)))))
+
+
+def test_match_refuses_an_oversized_relator_before_expanding_it(monkeypatch):
+    # the (0, 1) relator, b a b a b^-1 a^-1 b^-2 a^-1 b^-1 a b a, is cyclically
+    # reduced to 13 letters
+    p = closed_form(TwistParams(0, 1)).presentation
+    monkeypatch.setattr(criterion, "MAX_SHAPE_LETTERS", 13)
+    assert match_it_shape(p)
+    monkeypatch.setattr(criterion, "MAX_SHAPE_LETTERS", 12)
+
+    def unreachable(self):
+        raise AssertionError("a refused relator was expanded into letters")
+
+    monkeypatch.setattr(Word, "letters", unreachable)
+    with pytest.raises(CriterionError, match="relator has 13 letters; shape matching takes at most 12"):
+        match_it_shape(p)
 
 
 def test_match_sound_and_deterministic_on_random_relators():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,8 +8,11 @@ import pytest
 
 from sweep_derivation import check_member, sample
 import twistknot
-from twistknot.presentations import alexander_polynomial, class_in_h1, homology
+from twistknot import twisted_torus
+from twistknot.cli import main
+from twistknot.presentations import PresentationError, alexander_polynomial, class_in_h1, homology
 from twistknot.twisted_torus import (
+    PipelineError,
     TwistParams,
     _link_prefix,
     closed_form,
@@ -229,3 +233,89 @@ def test_model_and_proof_read_one_derivation():
         assert report.check(7).details["longitude"] == d.long_ab.as_text()
         assert report.check(8).details["replayed"] == d.longitude_paper.as_text()
         assert report.check(9).details["measured_class"] == 2 * u
+
+
+def test_link_prefix_is_pinned():
+    # the delta arcs are eliminated once, in the prefix; l0's over-arcs are
+    # xi, gamma and psi, so its longitude reads the same before and after
+    p, l0 = _link_prefix()
+    assert p.generators == ("alpha", "beta", "gamma", "xi", "psi")
+    assert [r.as_text() for r in p.relators] == [
+        "alpha^-1 xi alpha beta gamma xi^-1 gamma^-1 beta^-1",
+        "xi^-1 alpha xi gamma^-1",
+        "psi alpha^-1 psi^-1 gamma xi^-1 beta xi gamma^-1",
+        "psi beta^-1 psi^-1 gamma xi^-1 gamma xi gamma^-1",
+        "psi alpha^-1 psi alpha beta psi^-1 beta^-1 psi^-1",
+    ]
+    assert l0.as_text() == "xi^2 gamma^-1 psi xi gamma^-1 psi"
+
+
+def _refuse(*args):
+    raise PresentationError("injected")
+
+
+def _replace_filled_relator(index, by):
+    """An ``add_twist_relations`` whose result has relator ``index`` replaced
+    by ``by(relators)``."""
+    real = twisted_torus.add_twist_relations
+
+    def patched(p, u, v):
+        filled = real(p, u, v)
+        relators = list(filled.relators)
+        relators[index] = by(filled.relators)
+        return dataclasses.replace(filled, relators=tuple(relators))
+
+    return patched
+
+
+def _chain_with_wrong_stage2_forward(params):
+    chain = substitution_chain(params)
+    return dataclasses.replace(chain, stage2_forward={**chain.stage2_forward, "b": word(("g", 1))})
+
+
+def _meridian_not_conjugate(x, y):
+    return is_conjugate(x, y) and y != word(("a", 1))
+
+
+@pytest.mark.parametrize(
+    "name, replacement, stage, message",
+    [
+        ("tietze_eliminate", _refuse, "eliminate-deltas", "injected"),
+        ("add_twist_relations", _refuse, "add-twist-relations", "injected"),
+        (
+            "substitution_chain",
+            _chain_with_wrong_stage2_forward,
+            "change-generators",
+            "stage 2 does not invert on b: b a b",
+        ),
+        (
+            "add_twist_relations",
+            _replace_filled_relator(0, lambda rels: word(("alpha", 1))),
+            "change-generators",
+            "relator 1 should map to the identity, got h^2 g^-1",
+        ),
+        (
+            "add_twist_relations",
+            _replace_filled_relator(3, lambda rels: rels[2]),
+            "change-generators",
+            "surviving relators are not inverse-equivalent",
+        ),
+        ("is_conjugate", _meridian_not_conjugate, "two-generator", "meridian image is not conjugate to a"),
+        ("class_in_h1", lambda p, w: (1,), "longitude", "corrected longitude has class 1, not 0"),
+    ],
+)
+def test_derivation_fails_at_the_named_stage(monkeypatch, capsys, name, replacement, stage, message):
+    # the prefix is cached: clear it so the fault is met, and again so no
+    # later test reads a prefix built while it was in place
+    _link_prefix.cache_clear()
+    monkeypatch.setattr(twisted_torus, name, replacement)
+    try:
+        with pytest.raises(PipelineError) as err:
+            derive_from_diagram(TwistParams(1, 1))
+        assert err.value.stage == stage
+        assert str(err.value) == f"[{stage}] {message}"
+        assert main(["generate", "--u", "1", "--v", "1", "--mode", "derive"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"twisted_torus: [{stage}] {message}\n")
+    finally:
+        _link_prefix.cache_clear()

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from twistknot.presentations import PresentationError, homology, alexander_polynomial
@@ -102,8 +104,11 @@ def test_peripheral_systems_of_builtin():
 
     lower = peripheral_system(d, "l2")
     assert lower.meridian == word(("psi", 1))
-    assert lower.longitude == _w("alpha beta")
+    assert lower.longitude == _w("delta5 delta6")
     assert lower.framing_class == 0
+    # through the arc eliminations it is alpha beta, up to conjugacy
+    eliminate = {a: word((a, 1)) for a in d.arcs} | dict(DELTA_ELIMINATIONS)
+    assert lower.longitude.substitute(eliminate).cyclic_reduce()[0] == _w("alpha beta")
 
     strands = peripheral_system(d, "l0")
     assert strands.meridian == word(("alpha", 1))
@@ -176,13 +181,16 @@ def test_framing_class_is_homological():
     assert class_in_h1(p, strands.longitude) == class_in_h1(p, comparison)
 
 
-def test_kink_diagram_is_unknot():
-    kink = LinkDiagram(
+def _kink_diagram() -> LinkDiagram:
+    return LinkDiagram(
         arcs=("a",),
         components=(("a",),),
         crossings=(Crossing("K1", "a", "a", "a", 1),),
     )
-    p = wirtinger_presentation(kink)
+
+
+def test_kink_diagram_is_unknot():
+    p = wirtinger_presentation(_kink_diagram())
     assert p.relators[0].is_identity
     assert homology(p).free_rank == 1
     assert homology(p).torsion_orders == ()
@@ -229,6 +237,16 @@ def test_diagram_json_roundtrip():
     assert rebuilt.components == d.components
     assert rebuilt.crossings == d.crossings
     assert wirtinger_presentation(rebuilt).relators == wirtinger_presentation(d).relators
+    for d in (builtin_link_L(), _trefoil_diagram(), _kink_diagram()):
+        assert diagram_from_json(diagram_to_json(d)) == d
+
+
+def test_diagram_json_writes_every_field():
+    # a field the JSON leaves out would make the round trip lossy
+    data = diagram_to_json(builtin_link_L())
+    assert data.keys() == {f.name for f in fields(LinkDiagram)}
+    for crossing in data["crossings"]:
+        assert list(crossing) == [f.name for f in fields(Crossing)]
 
 
 def _eliminate_to_two_generators(d: LinkDiagram, p: Presentation) -> Presentation:
@@ -329,6 +347,14 @@ def test_diagram_from_json_refuses_an_inconsistent_diagram(path, value, message)
     with pytest.raises(DiagramError) as err:
         diagram_from_json(_trefoil_json(path, value))
     assert str(err.value) == message
+
+
+def test_diagram_refuses_repeated_component_names():
+    data = diagram_to_json(builtin_link_L())
+    data["component_names"] = ["l0", "l0", "l2"]
+    with pytest.raises(DiagramError) as err:
+        diagram_from_json(data)
+    assert str(err.value) == "component names must be distinct"
 
 
 def test_peripheral_system_refuses_an_unknown_component():

@@ -213,7 +213,9 @@ def test_parse_examples():
     assert Word.parse("a a^-1").is_identity
 
 
-@pytest.mark.parametrize("text", ["", "a^", "a^x", "^2", "a  b", " a"])
+@pytest.mark.parametrize(
+    "text", ["", "a^", "a^x", "^2", "a  b", " a", "a^1_0", "a^+3", "a^\uff13", "a^\t3", "a^2^3"]
+)
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(ValueError, match="malformed word text"):
         Word.parse(text)
