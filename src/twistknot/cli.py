@@ -266,6 +266,8 @@ def _check_flags(args: argparse.Namespace) -> None:
             if getattr(args, flag) is None:
                 setattr(args, flag, default)
         members = max(0, args.umax - args.umin + 1) * max(0, args.vmax - args.vmin + 1)
+        if sweep and not members:
+            refuse("--sweep box holds no members")
         if sweep and members > MAX_SWEEP_MEMBERS:
             refuse(f"--sweep box holds {members} members, over the cap of {MAX_SWEEP_MEMBERS}")
     if command == "h1":

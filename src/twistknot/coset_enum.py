@@ -17,7 +17,7 @@ from array import array
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .presentations import Presentation, PresentationError
+from .presentations import Presentation, PresentationError, add_relators
 
 if TYPE_CHECKING:
     from .twisted_torus import KnotGroupModel
@@ -61,7 +61,7 @@ def surgered_presentation(model: KnotGroupModel, slope, use: str = "paper") -> P
     ``slope`` is a ``criterion.Slope``; this layer does not import it.
     """
     relator = model.meridian**slope.p * model.longitude(use) ** slope.q
-    return Presentation(model.presentation.generators, model.presentation.relators + (relator,))
+    return add_relators(model.presentation, [relator])
 
 
 def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> EnumerationResult:

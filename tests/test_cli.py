@@ -395,6 +395,14 @@ def test_sweep_box_cap_is_inclusive(capsys, monkeypatch):
     _one_line_error(capsys, [*box, "--vmax", "2"], 2)
 
 
+@pytest.mark.parametrize("box", [("3", "1", "0", "5"), ("0", "1", "2", "1")])
+def test_empty_sweep_box_is_a_usage_error(capsys, box):
+    umin, umax, vmin, vmax = box
+    argv = ["verify-proof", "--sweep", "--umin", umin, "--umax", umax, "--vmin", vmin]
+    err = _one_line_error(capsys, [*argv, "--vmax", vmax], 2)
+    assert "no members" in err
+
+
 @pytest.mark.parametrize(
     "argv, runs",
     [

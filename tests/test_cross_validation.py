@@ -159,3 +159,67 @@ def test_alexander_matches_sympy_rational_form():
         computed = alexander_polynomial(closed_form(TwistParams(0, v)).presentation)
         dense = [computed.coeffs.get(e, 0) for e in range(len(expected))]
         assert dense == [int(c) for c in expected]
+
+
+EXPONENTS = (-4, -3, -2, -1, 1, 2, 3, 4)
+
+
+def _runs_word(rng: random.Random, max_runs: int) -> Word:
+    return Word(
+        (rng.choice(GENS), rng.choice(EXPONENTS)) for _ in range(rng.randint(1, max_runs))
+    )
+
+
+def _infinite_cyclic_relators(rng: random.Random):
+    """Relators ``r`` for which ``<a, b | r>`` has H1 infinite cyclic."""
+    a, b = GENS
+    found = 0
+    while found < 150:
+        rel = _runs_word(rng, 10)
+        if sympy.gcd(rel.exponent_sum(a), rel.exponent_sum(b)) == 1:
+            found += 1
+            yield rel
+    # b maps to +-2, so the division is by t^2 - 1: conjugates and rotations
+    base = word(("a", 2), ("b", -3))
+    for _ in range(30):
+        letters = base.conjugate(_runs_word(rng, 4)).letters()
+        cut = rng.randrange(len(letters))
+        yield Word(letters[cut:] + letters[:cut])
+    # a maps to 0: a times a commutator [w, b^j]
+    for _ in range(30):
+        w, j = _runs_word(rng, 4), rng.choice(EXPONENTS)
+        yield word(("a", 1)) * w * word(("b", j)) * w.inverse() * word(("b", -j))
+
+
+def _sympy_alexander(rel: Word) -> list[int]:
+    """Normalized coefficients, low to high, of the Fox derivative of ``rel``
+    taken letter by letter, times (t - 1) over (t^phi(y) - 1), as sympy cancels it."""
+    t = sympy.Symbol("t")
+    a, b = GENS
+    phi = {a: rel.exponent_sum(b), b: -rel.exponent_sum(a)}
+    # a non-knot group's polynomial is not symmetric, so take the orientation
+    # of the free coordinate class_in_h1 reports: first nonzero image positive
+    if (phi[a] or phi[b]) < 0:
+        phi = {gen: -image for gen, image in phi.items()}
+    # differentiate by b whenever a's image allows it
+    x, y = (b, a) if phi[a] else (a, b)
+    fox, height = sympy.Integer(0), 0
+    for gen, exp in rel.letters():
+        if gen == x:
+            fox += exp * t ** (height if exp > 0 else height - phi[x])
+        height += exp * phi[gen]
+    numer, denom = sympy.fraction(sympy.cancel(fox * (t - 1) / (t ** phi[y] - 1)))
+    assert sympy.Poly(denom, t).is_monomial, rel
+    coeffs = [int(c) for c in sympy.Poly(numer, t).all_coeffs()[::-1]]
+    while not coeffs[0]:
+        coeffs.pop(0)
+    return coeffs if coeffs[-1] > 0 else [-c for c in coeffs]
+
+
+def test_alexander_of_random_one_relator_presentations_matches_sympy():
+    rng = random.Random(407)
+    for rel in _infinite_cyclic_relators(rng):
+        if rng.random() < 0.5:
+            rel = rel.inverse()
+        ours = alexander_polynomial(Presentation(GENS, (rel,))).coeffs
+        assert [ours.get(e, 0) for e in range(max(ours) + 1)] == _sympy_alexander(rel), rel

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ABC, conjugate_relator, invert_relator, random_word
+from twistknot import presentations
 from twistknot.presentations import (
     HomologySummary,
     LaurentPolynomial,
@@ -261,8 +262,7 @@ def test_laurent_divexact_round_trips_products():
 
 def test_alexander_of_a_large_member_has_the_family_degree():
     # (0, v) has a normalized Alexander polynomial of degree 6v + 2 with
-    # 4v + 3 terms; the division that yields it used to rescan the whole
-    # remainder for its top degree at every step
+    # 4v + 3 terms, from a Fox derivative over a height span of 6v + 4
     delta = alexander_polynomial(closed_form(TwistParams(0, 2000)).presentation)
     assert (max(delta.coeffs), len(delta.coeffs)) == (12_002, 8_003)
 
@@ -285,6 +285,41 @@ def test_alexander_requires_infinite_cyclic_h1():
         alexander_polynomial(Presentation((A, B), (word(("a", 2)),)))
     with pytest.raises(PresentationError):
         alexander_polynomial(Presentation((A, B, C), (word(("a", 1)),)))
+
+
+def test_alexander_pinned_without_an_oracle():
+    # a^2 b^-3 is the trefoil group with phi(b) = +-2, so its conjugates and
+    # rotations and inverses divide by t^2 - 1; the others have phi(a) = 0 and divide by t - 1
+    cases = (
+        (word(("b", 1), ("a", 2), ("b", -4)), {0: 1, 1: -1, 2: 1}),
+        (word(("a", 1), ("b", -3), ("a", 1)), {0: 1, 1: -1, 2: 1}),
+        (word(("a", -1), ("b", 3), ("a", -1)), {0: 1, 1: -1, 2: 1}),
+        (word(("a", -1), ("b", 1), ("a", 2), ("b", -4), ("a", 1)), {0: 1, 1: -1, 2: 1}),
+        (word(("a", 2), ("b", 1), ("a", -1), ("b", -1)), {0: -2, 1: 1}),
+        (word(("a", 1), ("b", 2), ("a", -2), ("b", -1), ("a", 2), ("b", -1)), {0: -1, 1: -2, 2: 2}),
+    )
+    for rel, coeffs in cases:
+        assert alexander_polynomial(Presentation((A, B), (rel,))).coeffs == coeffs, rel
+
+
+def test_alexander_refuses_an_inexact_division(monkeypatch):
+    # with the free coordinate doubled, the quotient would be Delta(t^2) / (t + 1),
+    # which is no polynomial because Delta(1) = +-1
+    snf = presentations._abelianization_snf
+
+    def doubled(p):
+        diag, u, rank = snf(p)
+        return diag, u[:rank] + [[2 * c for c in row] for row in u[rank:]], rank
+
+    cases = (
+        TREFOIL,
+        Presentation((A, B), (word(("a", 1)),)),
+        closed_form(TwistParams(-3, 2)).presentation,
+    )
+    monkeypatch.setattr(presentations, "_abelianization_snf", doubled)
+    for p in cases:
+        with pytest.raises(ValueError, match="inexact"):
+            alexander_polynomial(p)
 
 
 def test_alexander_conjugation_invariant():
