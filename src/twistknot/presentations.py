@@ -1,8 +1,9 @@
 """Finite presentations: Tietze moves, integral homology, Alexander polynomials.
 
 Homology is computed from the Smith normal form of the abelianized relator
-matrix over exact integers.  Pivoting order is fixed (smallest nonzero
-absolute value, ties broken row-major) so outputs are identical across runs.
+matrix over exact integers.  Every round of the elimination re-picks its pivot
+(smallest nonzero absolute value, ties broken row-major), which keeps the
+entries small and the outputs identical across runs.
 
 The Alexander polynomial of ``<x, y | r>`` with H1 infinite cyclic under
 ``phi`` is ``(dr/dx)^phi (t - 1) / (t^phi(y) - 1)`` up to a unit (Fox 1953;
@@ -117,6 +118,13 @@ def smith_normal_form(
 
     ``diag`` lists the nonnegative invariant factors in divisibility order,
     padded with zeros up to ``min(m, n)``.
+
+    Each round moves the smallest nonzero entry of the block not yet diagonal
+    to the block's corner and divides it into its column, and only then into
+    its row.  A remainder goes round again with a strictly smaller pivot; an
+    entry the pivot does not divide has its row added to the pivot row, which
+    leaves one.  Refining one pivot in place instead lets the entries grow
+    exponentially (Kannan and Bachem, SIAM J. Comput. 8, 1979).
     """
     m = len(matrix)
     n = len(matrix[0]) if matrix else 0
@@ -125,71 +133,49 @@ def smith_normal_form(
     v = _identity(n)
     t = 0
     while True:
-        pivot = None
-        best = None
+        best = 0
         for i in range(t, m):
             row = a[i]
             for j in range(t, n):
-                entry = row[j]
-                if entry and (best is None or abs(entry) < best):
-                    best = abs(entry)
-                    pivot = (i, j)
-        if pivot is None:
+                entry = abs(row[j])
+                if entry and (entry < best or not best):
+                    best, pi, pj = entry, i, j
+        if not best:
             break
-        pi, pj = pivot
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            u[t], u[pi] = u[pi], u[t]
+        a[t], a[pi] = a[pi], a[t]
+        u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for row in a:
+            for row in a + v:
                 row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                    if a[i][t]:
-                        # remainder is strictly smaller; promote it to pivot
-                        a[t], a[i] = a[i], a[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+        top = a[t]
+        p = top[t]
+        for i in range(t + 1, m):
+            q = a[i][t] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        # a unit pivot leaves no remainder and divides every entry
+        if best > 1 and any(row[t] for row in a[t + 1:]):
+            continue
+        # the rest of column t is zero, so in ``a`` a column move changes row t only
+        for j in range(t + 1, n):
+            q = top[j] // p
+            if q:
+                top[j] -= q * p
+                for row in v:
+                    row[j] -= q * row[t]
+        if any(top[t + 1:]):
+            continue
+        for i in range(t + 1, m):
+            if best > 1 and any(x % p for x in a[i][t + 1:]):
+                a[t] = [x + y for x, y in zip(top, a[i])]
+                u[t] = [x + y for x, y in zip(u[t], u[i])]
                 break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            u[t] = [x + y for x, y in zip(u[t], u[offender])]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
+        else:
+            if p < 0:
+                a[t] = [-x for x in top]
+                u[t] = [-x for x in u[t]]
+            t += 1
     diag = [a[i][i] for i in range(min(m, n))]
     # canonical sign for the quotient's free coordinates
     for i in range(t, m):
@@ -423,4 +409,8 @@ def alexander_polynomial(p: Presentation) -> LaurentPolynomial:
         q[r::k] = accumulate(q[r::k])
     if any(q[-k:]):
         raise ValueError(f"inexact division by t^{k} - 1")
-    return LaurentPolynomial(enumerate(q[:-k])).normalized()
+    # normalized as it is built: zeros trimmed at both ends, top coefficient positive
+    low = next((i for i, c in enumerate(q) if c), 0)
+    high = len(q) - next((i for i, c in enumerate(reversed(q)) if c), len(q))
+    q = q[low:high]
+    return LaurentPolynomial(enumerate(q if not q or q[-1] > 0 else [-c for c in q]))

@@ -29,7 +29,7 @@ from .wirtinger import (
     peripheral_system,
     wirtinger_presentation,
 )
-from .words import Word, is_conjugate, word
+from .words import Word, is_conjugate, is_integer, word
 
 
 class PipelineError(RuntimeError):
@@ -51,6 +51,8 @@ class TwistParams:
     v: int
 
     def __post_init__(self) -> None:
+        if not (is_integer(self.u) and is_integer(self.v)):
+            raise ValueError(f"u and v must be integers, got {self.u!r} and {self.v!r}")
         if self.v < 0:
             raise ValueError(f"v must be >= 0, got {self.v}")
 

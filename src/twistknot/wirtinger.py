@@ -42,7 +42,7 @@ class Crossing:
     form: str = "in_first"
 
     def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+        if not is_integer(self.sign) or self.sign not in (1, -1):
             raise DiagramError(f"crossing {self.id}: sign must be +1 or -1")
         if self.form not in _FORMS:
             raise DiagramError(f"crossing {self.id}: unknown relator form {self.form!r}")

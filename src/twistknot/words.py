@@ -186,8 +186,11 @@ class Word:
     def __pow__(self, n: int) -> "Word":
         """``c core^n c^-1`` for ``self == c core c^-1``, joined at the seams.
 
-        ``ValueError``, before anything is built, if a core of two or more runs
-        would be repeated into more than ``MAX_WORD_RUNS`` runs."""
+        ``ValueError``, before anything is built, if ``n`` is not an integer
+        (``bool`` included) or a core of two or more runs would be repeated
+        into more than ``MAX_WORD_RUNS`` runs."""
+        if type(n) is not int and not is_integer(n):
+            raise ValueError(_PAIRS)
         if n == 1:
             return self
         if n == -1:

@@ -16,6 +16,14 @@ def random_nonempty_word(rng: random.Random, gens, max_len: int = 12) -> Word:
             return w
 
 
+def sparse_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]:
+    """An ``m x n`` integer matrix, entries in [-3, 3], about a third of them zero."""
+    return [
+        [0 if rng.random() < 1 / 3 else rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+        for _ in range(m)
+    ]
+
+
 def conjugate_relator(p: Presentation, index: int, by: Word) -> Presentation:
     """Tietze move: replace relator ``index`` by its conjugate ``by r by^-1``."""
     rels = list(p.relators)

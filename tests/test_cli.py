@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -107,6 +108,25 @@ def test_h1_from_presentation_file(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "h1", "--presentation", str(path))
     assert json.loads(out) == {"torsion": [6], "rank": 0}
+
+
+def test_h1_of_a_ten_generator_presentation_answers(tmp_path):
+    # its relator matrix is 10x10; a Smith form that refines one pivot in place
+    # grows its entries past 300,000 bits, so a timeout fails instead of hanging
+    rng = random.Random(1)
+    gens = [f"x{i}" for i in range(10)]
+    rels = [
+        Word((rng.choice(gens), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(8))
+        for _ in range(10)
+    ]
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps(Presentation(tuple(gens), tuple(rels)).to_json()), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "twistknot", "h1", "--presentation", str(path)],
+        capture_output=True, env=env, text=True, timeout=20,
+    )
+    assert (done.returncode, json.loads(done.stdout)) == (0, {"rank": 0, "torsion": [86210]})
 
 
 def test_alexander_command(capsys):

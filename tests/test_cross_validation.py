@@ -1,7 +1,8 @@
 """Cross-checks against an independent computer algebra system.
 
-These tests compare word arithmetic, conjugacy, coset enumeration and
-polynomial arithmetic against sympy, which implements all of them separately.
+These tests compare word arithmetic, conjugacy, coset enumeration, Smith
+normal forms and polynomial arithmetic against sympy, which implements all of
+them separately.
 They are skipped when sympy is unavailable.
 """
 
@@ -14,11 +15,12 @@ sympy = pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup
 from sympy.combinatorics.fp_groups import FpGroup
 from sympy.combinatorics.free_groups import free_group
+from sympy.matrices.normalforms import invariant_factors
 
-from conftest import random_nonempty_word, random_word
+from conftest import random_nonempty_word, random_word, sparse_matrix
 from twistknot.coset_enum import surgered_presentation, todd_coxeter
 from twistknot.criterion import Slope
-from twistknot.presentations import Presentation, alexander_polynomial
+from twistknot.presentations import Presentation, alexander_polynomial, smith_normal_form
 from twistknot.twisted_torus import TwistParams, closed_form
 from twistknot.words import Generator, Word, is_conjugate, word
 
@@ -223,3 +225,13 @@ def test_alexander_of_random_one_relator_presentations_matches_sympy():
             rel = rel.inverse()
         ours = alexander_polynomial(Presentation(GENS, (rel,))).coeffs
         assert [ours.get(e, 0) for e in range(max(ours) + 1)] == _sympy_alexander(rel), rel
+
+
+def test_invariant_factors_match_sympy():
+    rng = random.Random(408)
+    for size in range(10, 31, 5):
+        for m, n in ((size, size), (size, size + 3), (size + 3, size)):
+            matrix = sparse_matrix(rng, m, n)
+            expected = [abs(int(d)) for d in invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)]
+            diag, _, _ = smith_normal_form(matrix)
+            assert [d for d in diag if d] == [d for d in expected if d], (m, n)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ABC, conjugate_relator, invert_relator, random_word
+from conftest import ABC, conjugate_relator, invert_relator, random_word, sparse_matrix
 from twistknot import presentations
 from twistknot.presentations import (
     HomologySummary,
@@ -140,12 +140,24 @@ def test_class_in_h1_torsion_coordinates():
 # -- Smith normal form -----------------------------------------------------------
 
 
-def test_snf_transforms_and_unimodularity():
+def _snf_inputs():
     rng = random.Random(11)
     for _ in range(60):
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 5)
-        matrix = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
+        yield [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(m)]
+    # square and rectangular shapes up to 12x12: a pivot refined in place
+    # grows the entries of these exponentially
+    rng = random.Random(12)
+    for m in (6, 8, 10, 12):
+        for n in (6, 8, 10, 12):
+            yield sparse_matrix(rng, m, n)
+            yield sparse_matrix(rng, m, n)
+
+
+def test_snf_transforms_and_unimodularity():
+    for matrix in _snf_inputs():
+        m, n = len(matrix), len(matrix[0])
         diag, u, v = smith_normal_form(matrix)
         product = _matmul(_matmul(u, matrix), v)
         for i in range(m):

@@ -31,6 +31,9 @@ def test_params_validation():
     TwistParams(-5, 0)
     with pytest.raises(ValueError, match="v must be"):
         TwistParams(0, -1)
+    for u, v in ((0.5, 0), (0, 1.0), (True, 0), (0, "1")):
+        with pytest.raises(ValueError, match="must be integers"):
+            TwistParams(u, v)
 
 
 def test_closed_form_trefoil():

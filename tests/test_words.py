@@ -58,6 +58,9 @@ def test_pow():
     assert ba**0 == Word()
     assert ba**3 == word(("b", 1), ("a", 1), ("b", 1), ("a", 1), ("b", 1), ("a", 1))
     assert ba**-2 == (ba**2).inverse()
+    for n in (0.5, 2.0, True, False, "2"):
+        with pytest.raises(ValueError, match="integer exponent"):
+            ba**n
 
 
 def test_substitute_twist_relator_instance():
