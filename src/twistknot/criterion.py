@@ -14,16 +14,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from operator import itemgetter
 from typing import Optional
 
 from .presentations import Presentation
 from .twisted_torus import KnotGroupModel, TwistParams, closed_form
-from .words import Generator, Word, is_positive_excluding
+from .words import Generator, Word, is_integer, is_positive_excluding
 
 
 #: shape matching expands the relator into single letters and indexes every
-#: rotation; past this many letters it is refused (at the cap, about 6 s and
-#: 164 MiB on a 2-vCPU host)
+#: rotation; past this many letters it is refused (``check-slope`` at the cap,
+#: u = 0: about 3.5 s and 160 MiB on a 2-vCPU host)
 MAX_SHAPE_LETTERS = 10**5
 
 
@@ -86,6 +87,8 @@ class Slope:
     q: int
 
     def __post_init__(self) -> None:
+        if not (is_integer(self.p) and is_integer(self.q)):
+            raise CriterionError(f"p and q must be integers, got {self.p!r} and {self.q!r}")
         if self.p == 0 and self.q == 0:
             raise CriterionError("slope 0/0 is not a slope")
         if gcd(abs(self.p), abs(self.q)) != 1:
@@ -133,19 +136,12 @@ def _power_index(letters, a, limit):
     return run_end, mirrors, ending
 
 
-def match_it_shape(p: Presentation) -> list[ITShape]:
-    """All decompositions of the relator into the criterion shape.
+def _shape_core(p: Presentation) -> Word:
+    """The relator of ``p``, cyclically reduced: the one door to shape matching.
 
-    Every rotation of the cyclically reduced relator, both inversions and
-    both generator roles are cut as ``X b^-r Y b^(r-k)``.  ``X`` and ``Y`` are
-    conjugated powers ``c a^m c^-1`` with ``m >= 0``, read from one index of
-    the letters; the b-blocks are stretches of ``b`` letters, so ``r`` and
-    ``k`` are sign times length, and cuts with ``k < 0`` are dropped.  The
-    cost grows with the number of shapes, quadratic in ``u`` for a family
-    member.  Conjugators are canonical (cyclically reduced), so each is
-    determined up to the stray powers of ``a`` that a conjugating word may
-    absorb.  Sorted by ``|w1| + |w2|`` ascending.  ``CriterionError`` on a
-    cyclically reduced relator of more than ``MAX_SHAPE_LETTERS`` letters.
+    ``CriterionError`` unless ``p`` has two generators and one relator, and,
+    before the relator is expanded into letters, when its core has more than
+    ``MAX_SHAPE_LETTERS`` letters.
     """
     if len(p.generators) != 2:
         raise CriterionError(
@@ -160,64 +156,102 @@ def match_it_shape(p: Presentation) -> list[ITShape]:
         raise CriterionError(
             f"relator has {len(core)} letters; shape matching takes at most {MAX_SHAPE_LETTERS}"
         )
+    return core
+
+
+def _cuts(core: Word, a: Generator, b: Generator):
+    """Every cut of ``core`` into the criterion shape with a-role ``a``.
+
+    Each is yielded as ``(key, b, w1, w2)``, where ``key`` is the sort key
+    ``(|w1| + |w2|, m, n, r, k, w1 text, w2 text, a)`` and holds the exponents;
+    a shape may be yielded more than once.  Every rotation of the core and of
+    its inverse is cut as ``X b^-r Y b^(r-k)``.  ``X`` and ``Y`` are conjugated
+    powers ``c a^m c^-1`` with ``m >= 0``, read from one index of the letters;
+    the b-blocks are stretches of ``b`` letters, so ``r`` and ``k`` are sign
+    times length, and cuts with ``k < 0`` are dropped.  Each conjugator is
+    built, measured and spelled once per slice of the letters.  A core in one
+    generator yields nothing.
+    """
     if len(core.generator_set()) < 2:
-        return []
-    g0, g1 = p.generators
-    found: dict[tuple, ITShape] = {}
-    for a, b in ((g0, g1), (g1, g0)):
-        for variant in (core, core.inverse()):
-            letters = variant.letters()
-            size = len(letters)
-            doubled = letters + letters
-            run_end, mirrors, ending = _power_index(doubled, a, size)
-            conjugator = cache(lambda i, s: Word(doubled[i:s]))
-            b_end = list(range(2 * size + 1))  # end of the stretch of b letters from i
-            for i in reversed(range(2 * size)):
-                if doubled[i][0] == b:
-                    b_end[i] = b_end[i + 1]
-            for start in range(size):
-                stop = start + size
-                xs = sorted(
-                    [(p1, p1 - start, start) for p1 in range(start, run_end[start] + 1)]
-                    + [(p1, m, s1) for p1, (m, s1) in mirrors[start].items()]
-                )
-                for p3 in range(stop, start - 1, -1):
-                    if b_end[p3] < stop:
+        return
+    for variant in (core, core.inverse()):
+        letters = variant.letters()
+        size = len(letters)
+        doubled = letters + letters
+        run_end, mirrors, ending = _power_index(doubled, a, size)
+
+        @cache
+        def left(i, s):
+            w = Word(doubled[i:s])
+            return w, len(w), w.as_text()
+
+        @cache
+        def right(i, s):
+            w = Word(doubled[i:s]).inverse()
+            return w, len(w), w.as_text()
+
+        b_end = list(range(2 * size + 1))  # end of the stretch of b letters from i
+        for i in reversed(range(2 * size)):
+            if doubled[i][0] == b:
+                b_end[i] = b_end[i + 1]
+        for start in range(size):
+            stop = start + size
+            xs = sorted(
+                [(p1, p1 - start, start) for p1 in range(start, run_end[start] + 1)]
+                + [(p1, m, s1) for p1, (m, s1) in mirrors[start].items()]
+            )
+            for p3 in range(stop, start - 1, -1):
+                if b_end[p3] < stop:
+                    break
+                signed_b2 = (stop - p3) * doubled[p3][1]
+                for p1, m, s1 in xs:
+                    if p1 > p3:
                         break
-                    signed_b2 = (stop - p3) * doubled[p3][1]
-                    for p1, m, s1 in xs:
-                        if p1 > p3:
-                            break
-                        # Y = [p2, p3) follows the b letters [p1, p2): a piece of an
-                        # a-run can start only at p1 or where they end, and every
-                        # other power that ends at p3 is listed in ending[p3]
-                        last = min(b_end[p1], p3)
-                        p2s = {p1, last}.union(i for i in ending[p3] if p1 <= i <= last)
-                        for p2 in sorted(p2s):
-                            y = (p3 - p2, p2) if p3 <= run_end[p2] else mirrors[p2].get(p3)
-                            r = -(p2 - p1) * doubled[p1][1]
-                            k = r - signed_b2
-                            if y is None or k < 0:
-                                continue
-                            n, s2 = y
-                            w1 = conjugator(start, s1)
-                            w2 = conjugator(p2, s2).inverse()
-                            key = (a.name, m, n, r, k, w1.runs, w2.runs)
-                            if key not in found:
-                                found[key] = ITShape(a, b, m, n, r, k, w1, w2)
-    return sorted(
-        found.values(),
-        key=lambda s: (
-            len(s.w1) + len(s.w2),
-            s.m,
-            s.n,
-            s.r,
-            s.k,
-            s.w1.as_text(),
-            s.w2.as_text(),
-            s.a.name,
-        ),
-    )
+                    # Y = [p2, p3) follows the b letters [p1, p2): a piece of an
+                    # a-run can start only at p1 or where they end, and every
+                    # other power that ends at p3 is listed in ending[p3]
+                    last = min(b_end[p1], p3)
+                    p2s = {p1, last}.union(i for i in ending[p3] if p1 <= i <= last)
+                    for p2 in sorted(p2s):
+                        y = (p3 - p2, p2) if p3 <= run_end[p2] else mirrors[p2].get(p3)
+                        r = -(p2 - p1) * doubled[p1][1]
+                        k = r - signed_b2
+                        if y is None or k < 0:
+                            continue
+                        n, s2 = y
+                        w1, size1, text1 = left(start, s1)
+                        w2, size2, text2 = right(p2, s2)
+                        yield (size1 + size2, m, n, r, k, text1, text2, a), b, w1, w2
+
+
+def _shape(cut) -> ITShape:
+    (_, m, n, r, k, _, _, a), b, w1, w2 = cut
+    return ITShape(a, b, m, n, r, k, w1, w2)
+
+
+def match_it_shape(p: Presentation) -> list[ITShape]:
+    """All decompositions of the relator into the criterion shape.
+
+    Every rotation of the cyclically reduced relator, both inversions and
+    both generator roles are cut as ``X b^-r Y b^(r-k)`` (see ``_cuts``).  The
+    cost grows with the number of shapes, quadratic in ``u`` for a family
+    member.  Conjugators are canonical (cyclically reduced), so each is
+    determined up to the stray powers of ``a`` that a conjugating word may
+    absorb.  Sorted by ``|w1| + |w2|``, then ``m``, ``n``, ``r``, ``k``, the
+    texts of ``w1`` and ``w2``, and the name of ``a``, each ascending.
+    ``CriterionError`` on a cyclically reduced relator of more than
+    ``MAX_SHAPE_LETTERS`` letters.
+    """
+    core = _shape_core(p)
+    g0, g1 = p.generators
+    # a word's text names it unless a generator name holds a space or a caret,
+    # so the runs tell shapes apart; ties keep the order they were found in
+    found: dict[tuple, tuple] = {}
+    for a, b in ((g0, g1), (g1, g0)):
+        for cut in _cuts(core, a, b):
+            key, _, w1, w2 = cut
+            found.setdefault((key, w1.runs, w2.runs), cut)
+    return [_shape(cut) for cut in sorted(found.values(), key=itemgetter(0))]
 
 
 # -- the decision ------------------------------------------------------------
@@ -307,9 +341,12 @@ def _family_setup(
     form = LongitudeForm(
         s=model.s_value(use), t=model.t, w=model.w, w_positive=model.w_blocks_positive
     )
-    (meridian_gen, _), = model.meridian.runs
-    shapes = [s for s in match_it_shape(model.presentation) if s.a == meridian_gen]
-    return model, (shapes[0] if shapes else None), form
+    core = _shape_core(model.presentation)
+    (meridian, _), = model.meridian.runs
+    g0, g1 = model.presentation.generators
+    cuts = _cuts(core, meridian, g1 if meridian == g0 else g0)
+    best = min(cuts, key=itemgetter(0), default=None)
+    return model, (_shape(best) if best else None), form
 
 
 def check_family_slope(

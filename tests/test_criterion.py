@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,6 +37,12 @@ def test_slope_validation():
     assert Slope(3, -2) == Slope(-3, 2)
     assert Slope(-1, 0) == Slope(1, 0)
     assert Slope(7, 2).as_fraction() == Fraction(7, 2)
+
+
+@pytest.mark.parametrize("p, q", [(True, 1), (3, True), (0.5, 1), (1, 2.0), ("1", 1), (None, 1)])
+def test_slope_refuses_non_integers(p, q):
+    with pytest.raises(CriterionError, match="p and q must be integers"):
+        Slope(p, q)
 
 
 def test_family_relator_contains_reference_shape():
@@ -118,6 +127,76 @@ def test_match_refuses_an_oversized_relator_before_expanding_it(monkeypatch):
     monkeypatch.setattr(Word, "letters", unreachable)
     with pytest.raises(CriterionError, match="relator has 13 letters; shape matching takes at most 12"):
         match_it_shape(p)
+
+
+def test_family_refuses_an_oversized_relator_before_expanding_it(monkeypatch):
+    # check-slope and bound pass the same door as match_it_shape
+    params = TwistParams(0, 1)
+    monkeypatch.setattr(criterion, "MAX_SHAPE_LETTERS", 12)
+
+    def unreachable(self):
+        raise AssertionError("a refused relator was expanded into letters")
+
+    monkeypatch.setattr(Word, "letters", unreachable)
+    for call in (
+        lambda: check_family_slope(params, Slope(5, 1)),
+        lambda: minimal_integer_bound(params),
+    ):
+        with pytest.raises(CriterionError, match="relator has 13 letters; shape matching takes at most 12"):
+            call()
+
+
+def _pinned_cases():
+    for u in range(-4, 6):
+        for v in range(0, 3):
+            yield closed_form(TwistParams(u, v)).presentation
+    rng = random.Random(16180)
+    for i in range(120):
+        if i % 2:
+            pairs = (((A, B)[j % 2], rng.choice((-1, 1)) * rng.randint(1, 3))
+                     for j in range(rng.randint(1, 7)))
+            relator = Word(pairs)
+        else:
+            relator = random_word(rng, (A, B), 14)
+        if not relator.is_identity:
+            yield Presentation((A, B) if i % 3 else (B, A), (relator,))
+
+
+def test_match_output_is_pinned():
+    # every shape, its order and its JSON: 920 shapes from 30 family members
+    # and 116 random relators, digested from a matcher that built and sorted
+    # every shape whole, so the streamed cuts must keep it
+    digest = hashlib.sha256()
+    for p in _pinned_cases():
+        shapes = [s.to_json() for s in match_it_shape(p)]
+        digest.update(json.dumps(shapes, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == "ebe2d0c74c9604375fb9e9f82ada0584f17b524975e12f58aa48145eb1f9c5bc"
+
+
+def test_family_shape_is_the_first_meridian_rooted_match():
+    rng = random.Random(1729)
+    members = [(-2, 0), (-1, 0)] + [(rng.randint(-30, 60), rng.randint(0, 10)) for _ in range(20)]
+    for u, v in members:
+        model = closed_form(TwistParams(u, v))
+        relator = model.presentation.relators[0]
+        (meridian, _), = model.meridian.runs
+        first = next(s for s in match_it_shape(model.presentation) if s.a == meridian)
+        shape = check_family_slope(TwistParams(u, v), Slope(1, 0)).shape
+        assert shape.to_json() == first.to_json(), (u, v)
+        rebuilt = shape.reconstruct()
+        assert is_conjugate(rebuilt, relator) or is_conjugate(rebuilt, relator.inverse()), (u, v)
+
+
+def test_family_check_memory_stays_flat_in_u():
+    # the best cut is kept as the cuts stream by; holding all (u+2)(u+3)
+    # shapes of the v = 0 member, as matching them all does, peaks at 1.7 MiB
+    tracemalloc.start()
+    try:
+        check_family_slope(TwistParams(50, 0), Slope(5, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19
 
 
 def test_match_sound_and_deterministic_on_random_relators():
