@@ -54,7 +54,6 @@ from .criterion import (
     CriterionError,
     CriterionReport,
     ITShape,
-    LongitudeForm,
     Slope,
     Verdict,
     check_family_slope,

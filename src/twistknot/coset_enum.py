@@ -106,7 +106,6 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
     scans = [([table[c] for c in rel], [table[c ^ 1] for c in rel], len(rel) - 1)
              for rel in spelled]
     defined = alpha = 1
-    killed = 0
     while alpha <= defined:
         if parent[alpha] != alpha:
             alpha += 1
@@ -119,7 +118,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
                 fwd = nxt
             else:
                 if fwd != alpha:
-                    killed += _coincide(parent, pairs, fwd, alpha)
+                    _coincide(parent, pairs, fwd, alpha)
                     if parent[alpha] != alpha:
                         break
                 continue
@@ -128,7 +127,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
                     bwd = nxt
                     j -= 1
                 if j < i:
-                    killed += _coincide(parent, pairs, fwd, bwd)
+                    _coincide(parent, pairs, fwd, bwd)
                     break
                 if j == i:
                     forward[i][fwd] = bwd
@@ -163,7 +162,8 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
                     column[alpha] = defined
                     partner[defined] = alpha
         alpha += 1
-    return EnumerationResult("finished", defined - killed, max_cosets, defined, _hash_table(table))
+    order, digest = _canonical_walk(table)
+    return EnumerationResult("finished", order, max_cosets, defined, digest)
 
 
 def _grow(table: list, parent: array, rows: int, max_cosets: int) -> int:
@@ -198,8 +198,8 @@ def _merge(parent: array, queue: array, x: int, y: int) -> None:
         queue.append(y)
 
 
-def _coincide(parent: array, pairs: list, x: int, y: int) -> int:
-    """Merge ``x``, ``y`` and what that forces, each into the smaller; count the dead."""
+def _coincide(parent: array, pairs: list, x: int, y: int) -> None:
+    """Merge ``x``, ``y`` and what that forces, each into the smaller."""
     # the cosets merged away, in order; processing one may append more
     queue = array("i")
     _merge(parent, queue, x, y)
@@ -223,7 +223,6 @@ def _coincide(parent: array, pairs: list, x: int, y: int) -> int:
             else:
                 column[mu] = nu
                 partner[nu] = mu
-    return len(queue)
 
 
 def _exceeded(max_cosets: int) -> EnumerationResult:
@@ -235,8 +234,10 @@ def _hash_text(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _hash_table(table: list) -> str:
-    """Hash the closed table after canonical breadth-first renumbering."""
+def _canonical_walk(table: list) -> tuple[int, str]:
+    """The order of the closed table and its hash after canonical breadth-first
+    renumbering.  No entry names a dead coset and every live one is reachable
+    from coset 1, so the walk visits exactly the live cosets."""
     # coset 1 never dies: merge always keeps the smaller number
     number = [0] * len(table[0])
     number[1] = 1
@@ -251,4 +252,4 @@ def _hash_table(table: list) -> str:
     hasher.update(STRATEGY.encode())
     for coset in order_list:
         hasher.update(str([number[column[coset]] for column in table]).encode())
-    return hasher.hexdigest()[:16]
+    return len(order_list), hasher.hexdigest()[:16]

@@ -10,6 +10,7 @@ group.  Below the bound the criterion is silent (verdict ``Unknown``).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -70,16 +71,6 @@ class ITShape:
 
 
 @dataclass(frozen=True)
-class LongitudeForm:
-    """Longitude split as ``a^-s w a^-t`` plus the positivity of ``w``."""
-
-    s: int
-    t: int
-    w: Word
-    w_positive: bool
-
-
-@dataclass(frozen=True)
 class Slope:
     """A surgery slope ``p/q`` in lowest terms; ``q`` is normalized >= 0."""
 
@@ -114,8 +105,8 @@ def _power_index(letters, a, limit):
     ``a^(j - i)`` of a run with an empty ``c`` (the empty piece included).
     Every other one extends a whole run ``[s, s + m)`` by ``s - i`` letters on
     each side, with ``c = letters[i:s]``; it is listed as ``(m, s)`` in
-    ``mirrors[i][j]`` and as ``i`` in ``ending[j]``.  Lengths stop at
-    ``limit``.  Negative powers are left out, since the shape needs
+    ``mirrors[i][j]`` and as ``i`` in ``ending[j]``, kept sorted.  Lengths
+    stop at ``limit``.  Negative powers are left out, since the shape needs
     ``m, n >= 0``.
     """
     total = len(letters)
@@ -133,6 +124,8 @@ def _power_index(letters, a, limit):
             mirrors[i][j + 1] = (run_end[s] - s, s)
             ending[j + 1].append(i)
             i, j = i - 1, j + 1
+    for starts in ending:
+        starts.sort()
     return run_end, mirrors, ending
 
 
@@ -204,15 +197,17 @@ def _cuts(core: Word, a: Generator, b: Generator):
                 if b_end[p3] < stop:
                     break
                 signed_b2 = (stop - p3) * doubled[p3][1]
+                ends = ending[p3]
                 for p1, m, s1 in xs:
-                    if p1 > p3:
-                        break
+                    # X = [start, p1) never reaches the b letters [p3, stop): it
+                    # would end in one, so begin with its inverse, next to the b
+                    # letter at start - 1, which a cyclically reduced core rules out.
                     # Y = [p2, p3) follows the b letters [p1, p2): a piece of an
                     # a-run can start only at p1 or where they end, and every
                     # other power that ends at p3 is listed in ending[p3]
                     last = min(b_end[p1], p3)
-                    p2s = {p1, last}.union(i for i in ending[p3] if p1 <= i <= last)
-                    for p2 in sorted(p2s):
+                    inner = ends[bisect_right(ends, p1) : bisect_left(ends, last)]
+                    for p2 in (p1, *inner, last) if p1 < last else (p1,):
                         y = (p3 - p2, p2) if p3 <= run_end[p2] else mirrors[p2].get(p3)
                         r = -(p2 - p1) * doubled[p1][1]
                         k = r - signed_b2
@@ -266,12 +261,13 @@ class Verdict:
         return {"kind": self.kind, "reason": self.reason}
 
 
-def decide(shape: Optional[ITShape], form: LongitudeForm, slope: Slope) -> Verdict:
+def decide(shape: Optional[ITShape], w_positive: bool, bound: int, slope: Slope) -> Verdict:
     """Evaluate the criterion's hypotheses in order for one slope.
 
-    ``NotApplicable`` names the first failed hypothesis; ``Unknown`` means all
-    hypotheses hold but the slope is below the bound, where the criterion says
-    nothing.
+    ``w_positive`` is the positivity of ``w`` in the longitude ``a^-s w a^-t``
+    and ``bound`` is ``s + t``.  ``NotApplicable`` names the first failed
+    hypothesis; ``Unknown`` means all hypotheses hold but the slope is below
+    the bound, where the criterion says nothing.
     """
     if slope.q == 0:
         return Verdict("NotApplicable", "q = 0")
@@ -281,9 +277,9 @@ def decide(shape: Optional[ITShape], form: LongitudeForm, slope: Slope) -> Verdi
         return Verdict("NotApplicable", "m, n must be >= 0")
     if shape.k < 0:
         return Verdict("NotApplicable", "k must be >= 0")
-    if not form.w_positive:
+    if not w_positive:
         return Verdict("NotApplicable", "w not positive")
-    if slope.as_fraction() >= form.s + form.t:
+    if slope.as_fraction() >= bound:
         return Verdict("GuaranteedNonLO")
     return Verdict("Unknown")
 
@@ -326,10 +322,8 @@ class CriterionReport:
         }
 
 
-def _family_setup(
-    params: TwistParams, use: str
-) -> tuple[KnotGroupModel, Optional[ITShape], LongitudeForm]:
-    """Closed-form model, its first meridian-rooted shape, and its longitude form.
+def _family_setup(params: TwistParams, use: str) -> tuple[KnotGroupModel, Optional[ITShape], int]:
+    """Closed-form model, its first meridian-rooted shape, and its bound ``s + t``.
 
     Only decompositions whose a-role is the meridian generator qualify, since
     the criterion reads the longitude against that generator.  Positivity is
@@ -338,22 +332,20 @@ def _family_setup(
     inverse letters, so the reduced word would be a weaker witness.
     """
     model = closed_form(params)
-    form = LongitudeForm(
-        s=model.s_value(use), t=model.t, w=model.w, w_positive=model.w_blocks_positive
-    )
+    bound = model.s_value(use) + model.t
     core = _shape_core(model.presentation)
     (meridian, _), = model.meridian.runs
     g0, g1 = model.presentation.generators
     cuts = _cuts(core, meridian, g1 if meridian == g0 else g0)
     best = min(cuts, key=itemgetter(0), default=None)
-    return model, (_shape(best) if best else None), form
+    return model, (_shape(best) if best else None), bound
 
 
 def check_family_slope(
     params: TwistParams, slope: Slope, use: str = "paper"
 ) -> CriterionReport:
     """Match the family member's relator and decide one slope."""
-    model, shape, form = _family_setup(params, use)
+    model, shape, bound = _family_setup(params, use)
     return CriterionReport(
         params=params,
         slope=slope,
@@ -367,7 +359,7 @@ def check_family_slope(
         w=model.w,
         w_positive_blocks=model.w_blocks_positive,
         w_positive_reduced=is_positive_excluding(model.w, model.presentation.generators),
-        verdict=decide(shape, form, slope),
+        verdict=decide(shape, model.w_blocks_positive, bound, slope),
     )
 
 
@@ -377,12 +369,11 @@ def minimal_integer_bound(params: TwistParams, use: str = "paper") -> int:
     The verdict is monotone in the slope, so the answer is the bound ``s + t``
     itself whenever the criterion applies at all.
     """
-    _, shape, form = _family_setup(params, use)
-    if not form.w_positive:
+    model, shape, bound = _family_setup(params, use)
+    if not model.w_blocks_positive:
         raise CriterionError(
             f"the longitude's block word is not positive for u = {params.u} <= -2"
         )
-    bound = form.s + form.t
-    if decide(shape, form, Slope(bound, 1)).kind != "GuaranteedNonLO":
+    if decide(shape, model.w_blocks_positive, bound, Slope(bound, 1)).kind != "GuaranteedNonLO":
         raise CriterionError("no certified integer slope found near the bound")
     return bound

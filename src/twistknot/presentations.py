@@ -205,11 +205,8 @@ class HomologySummary:
 
 def _abelianization_snf(p: Presentation):
     """SNF data of the transposed relator matrix (columns index relators)."""
-    ngen = len(p.generators)
-    nrel = len(p.relators)
-    matrix = p.relator_matrix()
-    transposed = [[matrix[r][g] for r in range(nrel)] for g in range(ngen)]
-    diag, u, _ = smith_normal_form(transposed)
+    columns = [[rel.exponent_sum(g) for rel in p.relators] for g in p.generators]
+    diag, u, _ = smith_normal_form(columns)
     rank = sum(1 for d in diag if d)
     return diag, u, rank
 

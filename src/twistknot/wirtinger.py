@@ -42,6 +42,8 @@ class Crossing:
     form: str = "in_first"
 
     def __post_init__(self) -> None:
+        if not all(is_name(n) for n in (self.id, self.over, self.under_in, self.under_out)):
+            raise DiagramError("crossing id and arc names must be nonempty strings")
         if not is_integer(self.sign) or self.sign not in (1, -1):
             raise DiagramError(f"crossing {self.id}: sign must be +1 or -1")
         if self.form not in _FORMS:
@@ -62,7 +64,10 @@ class Crossing:
 
 @dataclass(frozen=True)
 class LinkDiagram:
-    """Arcs, their partition into oriented components, and signed crossings."""
+    """Arcs, their partition into oriented components, and signed crossings.
+
+    Sequences are stored as tuples, and components given no names are named
+    ``c0, c1, ...``."""
 
     arcs: tuple[str, ...]
     components: tuple[tuple[str, ...], ...]
@@ -70,15 +75,19 @@ class LinkDiagram:
     component_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.component_names:
-            object.__setattr__(
-                self, "component_names", tuple(f"c{i}" for i in range(len(self.components)))
-            )
+        components = tuple(map(tuple, self.components))
+        names = tuple(self.component_names) or tuple(f"c{i}" for i in range(len(components)))
+        stored = {"arcs": tuple(self.arcs), "components": components,
+                  "crossings": tuple(self.crossings), "component_names": names}
+        for field, value in stored.items():
+            object.__setattr__(self, field, value)
+        flat = [a for comp in components for a in comp]
+        if not all(is_name(n) for n in [*self.arcs, *flat, *names]):
+            raise DiagramError("arc and component names must be nonempty strings")
         if len(self.component_names) != len(self.components):
             raise DiagramError("one name per component required")
         if len(set(self.component_names)) != len(self.component_names):
             raise DiagramError("component names must be distinct")
-        flat = [a for comp in self.components for a in comp]
         if sorted(flat) != sorted(self.arcs) or len(set(self.arcs)) != len(self.arcs):
             raise DiagramError("components must partition the arcs")
         if len(self.crossings) != len(self.arcs):
@@ -251,30 +260,12 @@ def diagram_from_json(data: Mapping) -> LinkDiagram:
         isinstance(comp, list) for comp in components
     ):
         raise DiagramError("diagram JSON needs lists 'arcs', 'components' of lists and 'crossings'")
-    for c in crossings:
-        if not (
-            isinstance(c, Mapping)
-            and _CROSSING_KEYS <= c.keys()
-            and all(is_name(c[key]) for key in _NAME_KEYS)
-            and is_integer(c["sign"])
-            and is_name(c.get("form", "in_first"))
-        ):
-            raise DiagramError(
-                "each crossing needs string id, over, under_in and under_out,"
-                " an integer sign and, if given, a string form"
-            )
-    if not all(is_name(n) for n in [*arcs, *(a for comp in components for a in comp), *names]):
-        raise DiagramError("arc and component names must be nonempty strings")
+    if not all(isinstance(c, Mapping) and _CROSSING_KEYS <= c.keys() for c in crossings):
+        raise DiagramError("each crossing needs an id, over, under_in, under_out and sign")
     return LinkDiagram(
-        arcs=tuple(arcs),
-        components=tuple(tuple(comp) for comp in components),
-        crossings=tuple(
-            Crossing(
-                *(c[key] for key in _NAME_KEYS),
-                sign=c["sign"],
-                form=c.get("form", "in_first"),
-            )
-            for c in crossings
-        ),
-        component_names=tuple(names),
+        arcs,
+        components,
+        [Crossing(*(c[key] for key in _NAME_KEYS), c["sign"], c.get("form", "in_first"))
+         for c in crossings],
+        names,
     )

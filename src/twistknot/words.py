@@ -118,6 +118,15 @@ def _inverse_runs(runs: Sequence[tuple[Generator, int]]) -> tuple[tuple[Generato
     return tuple((g, -e) for g, e in reversed(runs))
 
 
+def _cyclic(core: tuple[tuple[Generator, int], ...]) -> tuple[tuple[Generator, int], ...]:
+    """A cyclically reduced core read around the circle from its last run, which
+    merges into the first when they are two runs of one generator (and so, the
+    core being cyclically reduced, of one sign)."""
+    if len(core) < 2 or core[0][0] != core[-1][0]:
+        return core[-1:] + core[:-1]
+    return ((core[0][0], core[-1][1] + core[0][1]),) + core[1:-1]
+
+
 def _reduced(runs: tuple[tuple[Generator, int], ...]) -> "Word":
     """The word over ``runs``, which the caller guarantees are freely reduced."""
     w = object.__new__(Word)
@@ -203,17 +212,13 @@ class Word:
         if len(core) == 1:
             body = ((core[0][0], core[0][1] * n),)
         else:
-            # the copies meet at different generators, or merge where they meet:
+            # each copy after the first adds the core read around the circle:
             # (x^p M x^q)^n = x^p M (x^(p+q) M)^(n-1) x^q
-            merging = core[0][0] == core[-1][0]
-            size = 2 * len(conj.runs) + (len(core) - merging) * n + merging
+            cyclic = _cyclic(core)
+            size = 2 * len(conj.runs) + len(core) + len(cyclic) * (n - 1)
             if size > MAX_WORD_RUNS:
                 raise _over_cap(size)
-            if merging:
-                merged = ((core[0][0], core[0][1] + core[-1][1]),) + core[1:-1]
-                body = core[:-1] + merged * (n - 1) + core[-1:]
-            else:
-                body = core * n
+            body = core[:-1] + cyclic * (n - 1) + core[-1:]
         if not conj.runs:
             return _reduced(body)
         out = list(conj.runs)
@@ -316,21 +321,14 @@ def word(*pairs: tuple[str, int]) -> Word:
 
 
 def is_conjugate(x: Word, y: Word) -> bool:
-    """Free-group conjugacy: equal cyclic run lists up to rotation.  Read around
-    the circle, a core's last run merges into its first when they share a
-    generator (and so, the core being cyclically reduced, a sign).
+    """Free-group conjugacy: equal cyclic run lists (see ``_cyclic``) up to
+    rotation.
 
     Each distinct run of ``x`` is spelled as one character, so the rotation
     test is a linear-time substring search of ``x`` in ``y`` read twice.
     Cores of more than ``MAX_CONJUGATE_RUNS`` runs are refused with a
     ``ValueError``."""
-    cyclic = []
-    for w in (x, y):
-        runs = list(w.cyclic_reduce()[0].runs)
-        if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-            runs[0] = (runs[0][0], runs[0][1] + runs.pop()[1])
-        cyclic.append(runs)
-    rx, ry = cyclic
+    rx, ry = (_cyclic(w.cyclic_reduce()[0].runs) for w in (x, y))
     if len(rx) != len(ry):
         return False
     if len(rx) > MAX_CONJUGATE_RUNS:

@@ -38,4 +38,11 @@ def invert_relator(p: Presentation, index: int) -> Presentation:
     return Presentation(p.generators, tuple(rels))
 
 
+def twisted_torus_braid(u: int, v: int) -> list[int]:
+    """The 3-braid ``(s1 s2)^(3v+2) s1^(2u)``, whose closure is the family member
+    T(3, 3v+2; 2, u) (Dean, AGT 3, 2003), as letters ``i`` for ``s_i`` and ``-i``
+    for its inverse."""
+    return [1, 2] * (3 * v + 2) + [1 if u > 0 else -1] * (2 * abs(u))
+
+
 ABC = (Generator("a"), Generator("b"), Generator("c"))

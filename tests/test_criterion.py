@@ -12,7 +12,6 @@ from twistknot import criterion
 from twistknot.criterion import (
     CriterionError,
     ITShape,
-    LongitudeForm,
     Slope,
     Verdict,
     check_family_slope,
@@ -330,8 +329,7 @@ def test_blocks_gate_overrides_reduced_positivity():
 
 
 def test_decide_no_shape():
-    form = LongitudeForm(5, -1, word(("b", 1)), True)
-    verdict = decide(None, form, Slope(10, 1))
+    verdict = decide(None, True, 4, Slope(10, 1))
     assert verdict.kind == "NotApplicable"
     assert "shape" in verdict.reason
 
@@ -340,8 +338,7 @@ def test_decide_no_shape():
 def test_decide_checks_exponent_signs_before_positivity(m, k, reason):
     # match_it_shape never yields these shapes; decide refuses them first
     shape = ITShape(A, B, m, 1, 0, k, Word(), Word())
-    form = LongitudeForm(5, -1, word(("b", -1)), False)
-    assert decide(shape, form, Slope(10, 1)) == Verdict("NotApplicable", reason)
+    assert decide(shape, False, 4, Slope(10, 1)) == Verdict("NotApplicable", reason)
 
 
 def test_decide_monotone_in_slope():
@@ -349,8 +346,7 @@ def test_decide_monotone_in_slope():
     params = TwistParams(1, 1)
     model = closed_form(params)
     shape = match_it_shape(model.presentation)[0]
-    form = LongitudeForm(model.s_paper, model.t, model.w, model.w_blocks_positive)
-    bound = Fraction(model.s_paper + model.t)
+    bound = model.s_paper + model.t
     for _ in range(200):
         p = rng.randrange(-80, 80)
         q = rng.randrange(1, 9)
@@ -358,7 +354,7 @@ def test_decide_monotone_in_slope():
 
         g = gcd(abs(p), q)
         slope = Slope(p // g, q // g)
-        verdict = decide(shape, form, slope)
+        verdict = decide(shape, model.w_blocks_positive, bound, slope)
         if slope.as_fraction() >= bound:
             assert verdict.kind == "GuaranteedNonLO"
         else:

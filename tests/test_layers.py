@@ -76,7 +76,7 @@ PUBLIC_NAMES = {
     "KnotGroupModel", "PipelineError", "ProofCheck", "ProofReport", "SubstitutionChain",
     "TwistParams", "closed_form", "derive_from_diagram", "substitution_chain", "verify_proof",
     # criterion
-    "CriterionError", "CriterionReport", "ITShape", "LongitudeForm", "Slope", "Verdict",
+    "CriterionError", "CriterionReport", "ITShape", "Slope", "Verdict",
     "check_family_slope", "decide", "match_it_shape", "minimal_integer_bound",
     # coset_enum
     "DEFAULT_MAX_COSETS", "EnumerationResult", "surgered_presentation", "todd_coxeter",

@@ -230,6 +230,14 @@ def test_diagram_validation_errors():
     for sign in (2, True, False, 1.0):
         with pytest.raises(DiagramError, match="sign"):
             Crossing("X", "a", "a", "a", sign)
+    # the same holds for names: a crossing and a diagram check their own
+    for names in ((5, "a", "a", "a"), ("X", "a", None, "a"), ("X", "", "a", "a")):
+        with pytest.raises(DiagramError, match="names must be nonempty strings"):
+            Crossing(*names, 1)
+    kink = Crossing("K1", "a", "a", "a", 1)
+    for arcs, names in (((1,), ()), (("a", 1), ()), (("a",), (None,)), (("a",), ([],))):
+        with pytest.raises(DiagramError, match="names must be nonempty strings"):
+            LinkDiagram(arcs=arcs, components=(arcs,), crossings=(kink,), component_names=names)
 
 
 def test_diagram_json_roundtrip():
@@ -240,7 +248,11 @@ def test_diagram_json_roundtrip():
     assert rebuilt.components == d.components
     assert rebuilt.crossings == d.crossings
     assert wirtinger_presentation(rebuilt).relators == wirtinger_presentation(d).relators
-    for d in (builtin_link_L(), _trefoil_diagram(), _kink_diagram()):
+    # lists are stored as tuples, so the diagram hashes and equals its round trip
+    listed = LinkDiagram(["a"], [["a"]], [Crossing("K1", "a", "a", "a", 1)], ["k"])
+    assert listed.components == (("a",),)
+    assert hash(diagram_from_json(diagram_to_json(listed))) == hash(listed)
+    for d in (builtin_link_L(), _trefoil_diagram(), _kink_diagram(), listed):
         assert diagram_from_json(diagram_to_json(d)) == d
 
 
