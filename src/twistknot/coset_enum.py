@@ -186,9 +186,9 @@ def _grow(table: list, parent: array, rows: int, max_cosets: int) -> int:
 
 
 def _merge(parent: array, queue: array, x: int, y: int) -> None:
-    # find both roots, halving the paths on the way
-    while (up := parent[x]) != x:
-        parent[x] = x = parent[up]
+    # x is a root at every call: todd_coxeter reads it from the table, where no
+    # entry names a dead coset, and _coincide has just found it as a root; find
+    # y's root, halving the path on the way
     while (up := parent[y]) != y:
         parent[y] = y = parent[up]
     if x != y:
@@ -208,9 +208,10 @@ def _coincide(parent: array, pairs: list, x: int, y: int) -> None:
             target = column[dead]
             if not target:
                 continue
+            # the pair invariant gives partner[target] == dead: an earlier
+            # clearing in this call removes that entry only with this pair
             column[dead] = 0
-            if partner[target] == dead:
-                partner[target] = 0
+            partner[target] = 0
             mu, nu = dead, target
             while (up := parent[mu]) != mu:
                 parent[mu] = mu = parent[up]

@@ -333,10 +333,8 @@ def _family_setup(params: TwistParams, use: str) -> tuple[KnotGroupModel, Option
     """
     model = closed_form(params)
     bound = model.s_value(use) + model.t
-    core = _shape_core(model.presentation)
-    (meridian, _), = model.meridian.runs
-    g0, g1 = model.presentation.generators
-    cuts = _cuts(core, meridian, g1 if meridian == g0 else g0)
+    # closed_form presents the group on (a, b) with meridian a
+    cuts = _cuts(_shape_core(model.presentation), *model.presentation.generators)
     best = min(cuts, key=itemgetter(0), default=None)
     return model, (_shape(best) if best else None), bound
 

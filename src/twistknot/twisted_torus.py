@@ -40,7 +40,8 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
-_BA = word(("b", 1), ("a", 1))
+_A, _B, _G, _H = (word((name, 1)) for name in "abgh")
+_BA = _B * _A
 
 
 @dataclass(frozen=True)
@@ -60,30 +61,26 @@ class TwistParams:
 def relator_template(params: TwistParams) -> Word:
     """``(ba)^(v+1) a (ba)^(-v-1) b^(-u-1) (ba)^(-v) a (ba)^v b^u``, reduced."""
     u, v = params.u, params.v
-    a = word(("a", 1))
-    b = word(("b", 1))
     return (
-        _BA ** (v + 1) * a * _BA ** (-(v + 1)) * b ** (-(u + 1))
-        * _BA ** (-v) * a * _BA**v * b**u
+        _BA ** (v + 1) * _A * _BA ** (-(v + 1)) * _B ** (-(u + 1))
+        * _BA ** (-v) * _A * _BA**v * _B**u
     )
+
+
+def _block(params: TwistParams) -> Word:
+    """``(ba)^v b^(u+1)``, the repeated block of ``w``."""
+    return _BA**params.v * _B ** (params.u + 1)
 
 
 def w_template(params: TwistParams) -> Word:
     """``((ba)^v b^(u+1))^2 (ba)^v b``, reduced."""
-    u, v = params.u, params.v
-    b = word(("b", 1))
-    block = _BA**v * b ** (u + 1)
-    return block * block * _BA**v * b
+    block = _block(params)
+    return block * block * _BA**params.v * _B
 
 
-def w_blocks_positive(params: TwistParams) -> bool:
-    """Positivity of the longitude middle word as a product of blocks.
-
-    The block form contains an inverse letter exactly when ``u <= -2``; free
-    reduction can cancel it for v >= 1, so this is deliberately judged on the
-    blocks, not on the reduced word.
-    """
-    return params.u >= -1
+def _longitude(params: TwistParams, s: int) -> Word:
+    """``a^-s w a``, the longitude under the meridian correction ``s``."""
+    return _A ** (-s) * w_template(params) * _A
 
 
 def s_paper_value(params: TwistParams) -> int:
@@ -119,8 +116,7 @@ class SubstitutionChain:
 
 def substitution_chain(params: TwistParams) -> SubstitutionChain:
     u, v = params.u, params.v
-    g = word(("g", 1))
-    h = word(("h", 1))
+    g, h = _G, _H
     hvg = h ** (-v) * g
     stage1_forward = {
         "g": word(("xi", 1), ("gamma", -1)),
@@ -139,7 +135,7 @@ def substitution_chain(params: TwistParams) -> SubstitutionChain:
     }
     stage2_backward = {
         "h": _BA,
-        "g": _BA**v * word(("b", 1)),
+        "g": _BA**v * _B,
     }
     return SubstitutionChain(stage1_forward, stage1_backward, stage2_forward, stage2_backward)
 
@@ -210,26 +206,23 @@ def _assemble_model(
     derived: bool,
     twist_residue: Word,
 ) -> KnotGroupModel:
-    a = word(("a", 1))
-    w = w_template(params)
     s_p = s_paper_value(params)
-    measured = class_in_h1(presentation, longitude_paper)[0]
-    s_c = s_p + measured
-    longitude_corrected = a ** (-s_c) * w * a
+    s_c = s_p + class_in_h1(presentation, longitude_paper)[0]
+    longitude_corrected = _longitude(params, s_c)
     check = class_in_h1(presentation, longitude_corrected)[0]
     if check != 0:
         raise PipelineError("longitude", f"corrected longitude has class {check}, not 0")
     return KnotGroupModel(
         params=params,
         presentation=presentation,
-        meridian=a,
+        meridian=_A,
         longitude_paper=longitude_paper,
         longitude_corrected=longitude_corrected,
         s_paper=s_p,
         s_corrected=s_c,
         t=-1,
-        w=w,
-        w_blocks_positive=w_blocks_positive(params),
+        w=w_template(params),
+        w_blocks_positive=params.u >= -1,
         longitude_precorrection=longitude_precorrection,
         derived=derived,
         twist_residue=twist_residue,
@@ -238,14 +231,10 @@ def _assemble_model(
 
 def closed_form(params: TwistParams) -> KnotGroupModel:
     """Knot group model built directly from the parametric templates."""
-    u, v = params.u, params.v
-    relator = relator_template(params)
-    presentation = Presentation(("a", "b"), (relator,))
-    a = word(("a", 1))
-    b = word(("b", 1))
-    block = _BA**v * b ** (u + 1)
-    precorrection = _BA ** (v + 1) * block * block
-    longitude_paper = a ** (-s_paper_value(params)) * w_template(params) * a
+    presentation = Presentation(("a", "b"), (relator_template(params),))
+    block = _block(params)
+    precorrection = _BA ** (params.v + 1) * block * block
+    longitude_paper = _longitude(params, s_paper_value(params))
     return _assemble_model(
         params, presentation, longitude_paper, precorrection, derived=False, twist_residue=Word()
     )
@@ -311,9 +300,8 @@ def derive_intermediates(params: TwistParams) -> Derivation:
     # rebase: move the leading (ba)^(v+1) block to the end, then add the
     # meridian corrections a^-1 and a^(-3(3v+2)-2u)
     block = _BA ** (params.v + 1)
-    a = word(("a", 1))
-    longitude_paper = a ** (-(3 * (3 * params.v + 2) + 2 * params.u)) * (
-        a ** (-1) * (block.inverse() * long_ab * block)
+    longitude_paper = _A ** (-(3 * (3 * params.v + 2) + 2 * params.u)) * (
+        _A ** (-1) * (block.inverse() * long_ab * block)
     )
     return Derivation(
         chain, images, relator_gh, relator_gh.substitute(phi2), meridian_ab, long_ab,
@@ -338,7 +326,7 @@ def derive_from_diagram(params: TwistParams) -> KnotGroupModel:
         raise PipelineError(
             "change-generators", "surviving relators are not inverse-equivalent"
         )
-    if not is_conjugate(d.meridian_ab, word(("a", 1))):
+    if not is_conjugate(d.meridian_ab, _A):
         raise PipelineError("two-generator", "meridian image is not conjugate to a")
     return _assemble_model(
         params,
@@ -399,8 +387,7 @@ def verify_proof(params: TwistParams) -> ProofReport:
     d = derive_intermediates(params)
     stated = closed_form(params)
     phi1 = d.chain.stage1_backward
-    g = word(("g", 1))
-    h = word(("h", 1))
+    g, h = _G, _H
     hvg = h ** (-v) * g
     checks: list[ProofCheck] = []
 

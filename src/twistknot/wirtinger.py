@@ -92,6 +92,8 @@ class LinkDiagram:
             raise DiagramError("components must partition the arcs")
         if len(self.crossings) != len(self.arcs):
             raise DiagramError("crossing count must equal arc count")
+        if not all(isinstance(c, Crossing) for c in self.crossings):
+            raise DiagramError("crossings must be Crossing values")
         seen_in: set[str] = set()
         seen_out: set[str] = set()
         arcset = set(self.arcs)

@@ -311,8 +311,12 @@ def test_malformed_presentation_file_exits_1(tmp_path, capsys, data):
 
 
 def test_malformed_diagram_file_exits_1(tmp_path, capsys):
+    unsigned = dict(diagram_to_json(builtin_link_L())["crossings"][0])
+    del unsigned["sign"]
     # each case replaces one field of a valid diagram, found by its key path
     for *path, key, value in [
+        ("crossings", 0, unsigned),
+        ("crossings", 0, 5),
         ("crossings", 5),
         ("arcs", 0, ["alpha"]),
         ("components", 0, 0, 7),

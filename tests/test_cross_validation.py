@@ -19,7 +19,7 @@ from sympy.combinatorics.fp_groups import FpGroup
 from sympy.combinatorics.free_groups import free_group
 from sympy.matrices.normalforms import invariant_factors
 
-from conftest import random_nonempty_word, random_word, sparse_matrix, twisted_torus_braid
+from conftest import random_nonempty_word, random_word, sparse_matrix
 from twistknot.coset_enum import surgered_presentation, todd_coxeter
 from twistknot.criterion import Slope
 from twistknot.presentations import Presentation, alexander_polynomial, smith_normal_form
@@ -237,71 +237,3 @@ def test_invariant_factors_match_sympy():
             expected = [abs(int(d)) for d in invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)]
             diag, _, _ = smith_normal_form(matrix)
             assert [d for d in diag if d] == [d for d in expected if d], (m, n)
-
-
-# -- the braid closure: Alexander polynomial by reduced Burau ----------------
-# polynomials in t are lists of integer coefficients, lowest power first
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_add(p: list[int], q: list[int]) -> list[int]:
-    return [sum(c[i] for c in (p, q) if i < len(c)) for i in range(max(len(p), len(q)))]
-
-
-# the reduced Burau matrices of s1 and s2 in B_3, and t times those of their inverses
-_BURAU = {
-    1: [[[0, -1], [1]], [[0], [1]]],
-    2: [[[1], [0]], [[0, 1], [0, -1]]],
-    -1: [[[-1], [1]], [[0], [0, 1]]],
-    -2: [[[0, 1], [0]], [[0, 1], [-1]]],
-}
-
-
-def _burau_alexander(braid: list[int]) -> list[int]:
-    """det(I - rho(braid)) (1 - t) / (1 - t^3), the Alexander polynomial of the
-    closure of a 3-braid up to a unit, with its unit stripped."""
-    # rho(braid) = t^-k m, where k counts the inverse letters
-    m = [[[1], [0]], [[0], [1]]]
-    for letter in braid:
-        g = _BURAU[letter]
-        m = [[_poly_add(_poly_mul(m[i][0], g[0][j]), _poly_mul(m[i][1], g[1][j]))
-              for j in range(2)] for i in range(2)]
-    shift = [0] * sum(letter < 0 for letter in braid) + [1]
-    d = [[_poly_add(shift if i == j else [0], [-c for c in m[i][j]]) for j in range(2)]
-         for i in range(2)]
-    det = _poly_add(_poly_mul(d[0][0], d[1][1]), [-c for c in _poly_mul(d[0][1], d[1][0])])
-    # divide by 1 + t + t^2 from the lowest power up
-    quotient = []
-    for i in range(len(det) - 2):
-        quotient.append(det[i])
-        det[i + 1] -= det[i]
-        det[i + 2] -= det[i]
-    assert not any(det[-2:]), braid
-    return _unit_free(quotient)
-
-
-def _unit_free(coeffs: list[int]) -> list[int]:
-    """The coefficients between the lowest and the highest nonzero one, the
-    lowest made positive."""
-    nonzero = [i for i, c in enumerate(coeffs) if c]
-    core = coeffs[nonzero[0] : nonzero[-1] + 1]
-    return core if core[0] > 0 else [-c for c in core]
-
-
-def test_alexander_matches_the_burau_closure_of_the_family_braid():
-    # an oracle that shares nothing with the surgery description, the built-in
-    # link or the closed form; the mirror twist s1^(-2u) is another knot unless
-    # u = 0, so the oracle also tells the twist's handedness
-    for u in range(-6, 7):
-        for v in range(0, 4):
-            ours = alexander_polynomial(closed_form(TwistParams(u, v)).presentation).coeffs
-            dense = _unit_free([ours.get(e, 0) for e in range(min(ours), max(ours) + 1)])
-            assert _burau_alexander(twisted_torus_braid(u, v)) == dense, (u, v)
-            assert (_burau_alexander(twisted_torus_braid(-u, v)) == dense) == (u == 0), (u, v)

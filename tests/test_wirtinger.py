@@ -238,6 +238,8 @@ def test_diagram_validation_errors():
     for arcs, names in (((1,), ()), (("a", 1), ()), (("a",), (None,)), (("a",), ([],))):
         with pytest.raises(DiagramError, match="names must be nonempty strings"):
             LinkDiagram(arcs=arcs, components=(arcs,), crossings=(kink,), component_names=names)
+    with pytest.raises(DiagramError, match="Crossing values"):
+        LinkDiagram(("a",), (("a",),), ("x",))
 
 
 def test_diagram_json_roundtrip():
