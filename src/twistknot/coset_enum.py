@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .presentations import Presentation, PresentationError, add_relators
+from .words import is_integer
 
 if TYPE_CHECKING:
     from .twisted_torus import KnotGroupModel
@@ -71,6 +72,8 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
     i.e. the group is finite of that order.  ``Exceeded`` means more than
     ``max_cosets`` cosets would have been needed under this strategy.
     """
+    if not is_integer(max_cosets):
+        raise PresentationError(f"max_cosets must be an integer, got {max_cosets!r}")
     if not 1 <= max_cosets <= MAX_COSET_BUDGET:
         raise PresentationError(f"max_cosets must be between 1 and {MAX_COSET_BUDGET}")
     letters = sum(len(r) for r in p.relators)

@@ -152,7 +152,7 @@ def _shape_core(p: Presentation) -> Word:
     return core
 
 
-def _cuts(core: Word, a: Generator, b: Generator):
+def _cuts(core: Word, a: Generator, b: Generator, wanted=None):
     """Every cut of ``core`` into the criterion shape with a-role ``a``.
 
     Each is yielded as ``(key, b, w1, w2)``, where ``key`` is the sort key
@@ -161,9 +161,18 @@ def _cuts(core: Word, a: Generator, b: Generator):
     its inverse is cut as ``X b^-r Y b^(r-k)``.  ``X`` and ``Y`` are conjugated
     powers ``c a^m c^-1`` with ``m >= 0``, read from one index of the letters;
     the b-blocks are stretches of ``b`` letters, so ``r`` and ``k`` are sign
-    times length, and cuts with ``k < 0`` are dropped.  Each conjugator is
-    built, measured and spelled once per slice of the letters.  A core in one
+    times length, and cuts with ``k < 0`` are dropped.  A core in one
     generator yields nothing.
+
+    The integer part of the key is read from positions: a conjugator spans a
+    window of at most one rotation of the cyclically reduced core, which is
+    already freely reduced, so its length is the window's.  ``wanted``, when
+    given, is asked with a lower bound of the keys it stands for, compared as
+    tuples (a prefix sorts before the key): with ``(|w1|,)`` before the ``Y``
+    candidates of an ``X`` are walked, and with the integer key
+    ``(|w1| + |w2|, m, n, r, k)`` before a cut's conjugators are built.  What
+    it refuses is skipped.  Each conjugator is built and spelled once per
+    slice of the letters.
     """
     if len(core.generator_set()) < 2:
         return
@@ -176,12 +185,12 @@ def _cuts(core: Word, a: Generator, b: Generator):
         @cache
         def left(i, s):
             w = Word(doubled[i:s])
-            return w, len(w), w.as_text()
+            return w, w.as_text()
 
         @cache
         def right(i, s):
             w = Word(doubled[i:s]).inverse()
-            return w, len(w), w.as_text()
+            return w, w.as_text()
 
         b_end = list(range(2 * size + 1))  # end of the stretch of b letters from i
         for i in reversed(range(2 * size)):
@@ -199,6 +208,8 @@ def _cuts(core: Word, a: Generator, b: Generator):
                 signed_b2 = (stop - p3) * doubled[p3][1]
                 ends = ending[p3]
                 for p1, m, s1 in xs:
+                    if wanted is not None and not wanted((s1 - start,)):
+                        continue
                     # X = [start, p1) never reaches the b letters [p3, stop): it
                     # would end in one, so begin with its inverse, next to the b
                     # letter at start - 1, which a cyclically reduced core rules out.
@@ -214,9 +225,12 @@ def _cuts(core: Word, a: Generator, b: Generator):
                         if y is None or k < 0:
                             continue
                         n, s2 = y
-                        w1, size1, text1 = left(start, s1)
-                        w2, size2, text2 = right(p2, s2)
-                        yield (size1 + size2, m, n, r, k, text1, text2, a), b, w1, w2
+                        length = s1 - start + s2 - p2
+                        if wanted is not None and not wanted((length, m, n, r, k)):
+                            continue
+                        w1, text1 = left(start, s1)
+                        w2, text2 = right(p2, s2)
+                        yield (length, m, n, r, k, text1, text2, a), b, w1, w2
 
 
 def _shape(cut) -> ITShape:
@@ -247,6 +261,27 @@ def match_it_shape(p: Presentation) -> list[ITShape]:
             key, _, w1, w2 = cut
             found.setdefault((key, w1.runs, w2.runs), cut)
     return [_shape(cut) for cut in sorted(found.values(), key=itemgetter(0))]
+
+
+def _best_cut(core: Word, a: Generator, b: Generator) -> Optional[ITShape]:
+    """The first shape with a-role ``a`` that ``match_it_shape`` would list.
+
+    The cuts stream by and only the one with the least key is kept, the first
+    found on a full tie, as ``min`` would keep it.  A cut whose integer key
+    exceeds the best key so far cannot win, so its conjugators are never
+    built, and an ``X`` whose ``|w1|`` alone exceeds the best ``|w1| + |w2|``
+    is skipped before its ``Y`` candidates are walked; texts are compared
+    only between cuts whose integer keys tie.
+    """
+    best = None
+
+    def wanted(bound):
+        return best is None or bound <= best[0]
+
+    for cut in _cuts(core, a, b, wanted):
+        if best is None or cut[0] < best[0]:
+            best = cut
+    return _shape(best) if best else None
 
 
 # -- the decision ------------------------------------------------------------
@@ -326,17 +361,20 @@ def _family_setup(params: TwistParams, use: str) -> tuple[KnotGroupModel, Option
     """Closed-form model, its first meridian-rooted shape, and its bound ``s + t``.
 
     Only decompositions whose a-role is the meridian generator qualify, since
-    the criterion reads the longitude against that generator.  Positivity is
-    judged on the block form of ``w`` (negative block exponent exactly when
-    u <= -2); for v >= 1 and u = -2 free reduction happens to cancel the
-    inverse letters, so the reduced word would be a weaker witness.
+    the criterion reads the longitude against that generator.  ``_best_cut``
+    finds the first without listing the others: cuts are ranked by their
+    integer key ``(|w1| + |w2|, m, n, r, k)``, read from positions, and
+    conjugators are built only for a cut whose integer key is at most the best
+    so far.  Positivity is judged on the block form of ``w`` (negative block
+    exponent exactly when u <= -2); for v >= 1 and u = -2 free reduction
+    happens to cancel the inverse letters, so the reduced word would be a
+    weaker witness.
     """
     model = closed_form(params)
     bound = model.s_value(use) + model.t
     # closed_form presents the group on (a, b) with meridian a
-    cuts = _cuts(_shape_core(model.presentation), *model.presentation.generators)
-    best = min(cuts, key=itemgetter(0), default=None)
-    return model, (_shape(best) if best else None), bound
+    p = model.presentation
+    return model, _best_cut(_shape_core(p), *p.generators), bound
 
 
 def check_family_slope(

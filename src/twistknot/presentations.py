@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .words import Generator, Word, is_conjugate
 
@@ -218,26 +218,33 @@ def homology(p: Presentation) -> HomologySummary:
     return HomologySummary(torsion, len(p.generators) - rank)
 
 
-def class_in_h1(p: Presentation, x: Word) -> tuple[int, ...]:
-    """Image of ``x`` in H1, as coordinates in the Smith normal form basis.
+def h1_classes(p: Presentation) -> Callable[[Word], tuple[int, ...]]:
+    """The map sending a word to its class in H1, from one abelianization of ``p``.
 
-    Torsion coordinates (reduced into ``[0, d)``) come first, matching
+    Classes are coordinates in the Smith normal form basis: torsion
+    coordinates (reduced into ``[0, d)``) come first, matching
     ``HomologySummary.torsion_orders``; free coordinates follow.  A preferred
     longitude of a knot in the 3-sphere must map to all zeros.
     """
-    undeclared = x.generator_set() - set(p.generators)
-    if undeclared:
-        names = ", ".join(sorted(g.name for g in undeclared))
-        raise PresentationError(f"word uses undeclared generator(s): {names}")
     diag, u, rank = _abelianization_snf(p)
     ngen = len(p.generators)
-    exps = [x.exponent_sum(g) for g in p.generators]
-    image = [sum(u[i][j] * exps[j] for j in range(ngen)) for i in range(ngen)]
-    torsion_coords = [
-        image[i] % diag[i] for i in range(rank) if diag[i] > 1
-    ]
-    free_coords = image[rank:]
-    return tuple(torsion_coords + free_coords)
+
+    def classify(x: Word) -> tuple[int, ...]:
+        undeclared = x.generator_set() - set(p.generators)
+        if undeclared:
+            names = ", ".join(sorted(g.name for g in undeclared))
+            raise PresentationError(f"word uses undeclared generator(s): {names}")
+        exps = [x.exponent_sum(g) for g in p.generators]
+        image = [sum(u[i][j] * exps[j] for j in range(ngen)) for i in range(ngen)]
+        torsion_coords = [image[i] % diag[i] for i in range(rank) if diag[i] > 1]
+        return tuple(torsion_coords + image[rank:])
+
+    return classify
+
+
+def class_in_h1(p: Presentation, x: Word) -> tuple[int, ...]:
+    """Image of ``x`` in H1, as ``h1_classes`` gives it."""
+    return h1_classes(p)(x)
 
 
 # -- Laurent polynomials and the Alexander polynomial -----------------------

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Mapping
 
-from .presentations import Presentation, PresentationError, class_in_h1, tietze_eliminate
+from .presentations import Presentation, PresentationError, h1_classes, tietze_eliminate
 from .wirtinger import (
     DELTA_ELIMINATIONS,
     builtin_link_L,
@@ -78,9 +78,9 @@ def w_template(params: TwistParams) -> Word:
     return block * block * _BA**params.v * _B
 
 
-def _longitude(params: TwistParams, s: int) -> Word:
+def _longitude(w: Word, s: int) -> Word:
     """``a^-s w a``, the longitude under the meridian correction ``s``."""
-    return _A ** (-s) * w_template(params) * _A
+    return _A ** (-s) * w * _A
 
 
 def s_paper_value(params: TwistParams) -> int:
@@ -200,16 +200,18 @@ def _selects_paper(use: str) -> bool:
 def _assemble_model(
     params: TwistParams,
     presentation: Presentation,
+    w: Word,
     longitude_paper: Word,
     longitude_precorrection: Word,
     *,
     derived: bool,
     twist_residue: Word,
 ) -> KnotGroupModel:
+    classify = h1_classes(presentation)
     s_p = s_paper_value(params)
-    s_c = s_p + class_in_h1(presentation, longitude_paper)[0]
-    longitude_corrected = _longitude(params, s_c)
-    check = class_in_h1(presentation, longitude_corrected)[0]
+    s_c = s_p + classify(longitude_paper)[0]
+    longitude_corrected = _longitude(w, s_c)
+    check = classify(longitude_corrected)[0]
     if check != 0:
         raise PipelineError("longitude", f"corrected longitude has class {check}, not 0")
     return KnotGroupModel(
@@ -221,7 +223,7 @@ def _assemble_model(
         s_paper=s_p,
         s_corrected=s_c,
         t=-1,
-        w=w_template(params),
+        w=w,
         w_blocks_positive=params.u >= -1,
         longitude_precorrection=longitude_precorrection,
         derived=derived,
@@ -234,9 +236,11 @@ def closed_form(params: TwistParams) -> KnotGroupModel:
     presentation = Presentation(("a", "b"), (relator_template(params),))
     block = _block(params)
     precorrection = _BA ** (params.v + 1) * block * block
-    longitude_paper = _longitude(params, s_paper_value(params))
+    w = w_template(params)
+    longitude_paper = _longitude(w, s_paper_value(params))
     return _assemble_model(
-        params, presentation, longitude_paper, precorrection, derived=False, twist_residue=Word()
+        params, presentation, w, longitude_paper, precorrection,
+        derived=False, twist_residue=Word(),
     )
 
 
@@ -331,6 +335,7 @@ def derive_from_diagram(params: TwistParams) -> KnotGroupModel:
     return _assemble_model(
         params,
         Presentation(("a", "b"), (d.relator_ab,)),
+        w_template(params),
         d.longitude_paper,
         d.long_ab,
         derived=True,

@@ -8,8 +8,10 @@ call runs ``cli.main`` in-process; the digest is the sha256 of
 The grid, for every member u in [-12, 30], v in [0, 4]: ``bound`` and
 ``check-slope`` at -3/1, 5/1, 7/2 and 100/1, each with both longitudes;
 ``generate`` in both modes; ``verify-proof``; ``alexander``; and
-``h1 --p 3 --q 2``.  Then ``enumerate`` on u in [-2, 1], v in [0, 1],
-p in {1, 2, 3, 5, 7, 11}, q = 1, both longitudes, ``--max-cosets 3000``.
+``h1 --p 3 --q 2``.  Then ``bound`` and ``check-slope`` as above for u in
+{60, 120}, v in {0, 2}, where most cuts of the relator cannot beat the best
+one.  Then ``enumerate`` on u in [-2, 1], v in [0, 1], p in
+{1, 2, 3, 5, 7, 11}, q = 1, both longitudes, ``--max-cosets 3000``.
 
     PYTHONPATH=src python tests/digest_cli.py
 """
@@ -26,21 +28,30 @@ from twistknot.cli import main as cli_main
 LONGITUDES = ("paper", "corrected")
 
 
+def criterion_calls(member: list[str]) -> list[list[str]]:
+    calls = []
+    for use in LONGITUDES:
+        calls.append(["bound", *member, "--longitude", use])
+        for p, q in ((-3, 1), (5, 1), (7, 2), (100, 1)):
+            slope = [f"--p={p}", f"--q={q}"]
+            calls.append(["check-slope", *member, *slope, "--longitude", use])
+    return calls
+
+
 def grid() -> list[list[str]]:
     calls = []
     for u in range(-12, 31):
         for v in range(5):
             member = ["--u", str(u), "--v", str(v)]
-            for use in LONGITUDES:
-                calls.append(["bound", *member, "--longitude", use])
-                for p, q in ((-3, 1), (5, 1), (7, 2), (100, 1)):
-                    slope = [f"--p={p}", f"--q={q}"]
-                    calls.append(["check-slope", *member, *slope, "--longitude", use])
+            calls += criterion_calls(member)
             for mode in ("closed", "derive"):
                 calls.append(["generate", *member, "--mode", mode])
             calls.append(["verify-proof", *member])
             calls.append(["alexander", *member])
             calls.append(["h1", *member, "--p", "3", "--q", "2"])
+    for u in (60, 120):
+        for v in (0, 2):
+            calls += criterion_calls(["--u", str(u), "--v", str(v)])
     for u in range(-2, 2):
         for v in range(2):
             for p in (1, 2, 3, 5, 7, 11):

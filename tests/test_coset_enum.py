@@ -254,6 +254,14 @@ def test_max_cosets_guard():
     assert todd_coxeter(p, MAX_COSET_BUDGET).order == 2
 
 
+@pytest.mark.parametrize("budget", [True, 3.0, 2.5, "5"])
+def test_max_cosets_must_be_an_integer(budget):
+    # a bool or float used to pass the range check, and 2.5 and "5" failed
+    # with a TypeError deep inside the enumeration
+    with pytest.raises(PresentationError, match="max_cosets must be an integer"):
+        todd_coxeter(Presentation((A,), (word(("a", 3)),)), budget)
+
+
 def test_relator_letter_bound():
     # a^(10^7) would be expanded into ten million letters
     with pytest.raises(PresentationError, match="letters"):

@@ -173,8 +173,10 @@ def test_match_output_is_pinned():
 
 
 def test_family_shape_is_the_first_meridian_rooted_match():
+    # the small box is where cuts most often tie on their integer key
     rng = random.Random(1729)
-    members = [(-2, 0), (-1, 0)] + [(rng.randint(-30, 60), rng.randint(0, 10)) for _ in range(20)]
+    members = [(u, v) for u in range(-4, 9) for v in range(4)]
+    members += [(rng.randint(-30, 60), rng.randint(0, 10)) for _ in range(20)]
     for u, v in members:
         model = closed_form(TwistParams(u, v))
         relator = model.presentation.relators[0]
@@ -198,13 +200,18 @@ def test_family_check_memory_stays_flat_in_u():
     assert peak < 2**19
 
 
-def test_match_sound_and_deterministic_on_random_relators():
-    rng = random.Random(271828)
-    for _ in range(60):
+def _random_presentations(seed: int, count: int):
+    """``<a, b | r>`` for up to ``count`` random nonidentity ``r`` of at most 10 letters."""
+    rng = random.Random(seed)
+    for _ in range(count):
         relator = random_word(rng, (A, B), 10)
-        if relator.is_identity:
-            continue
-        p = Presentation((A, B), (relator,))
+        if not relator.is_identity:
+            yield Presentation((A, B), (relator,))
+
+
+def test_match_sound_and_deterministic_on_random_relators():
+    for p in _random_presentations(271828, 60):
+        relator = p.relators[0]
         shapes = match_it_shape(p)
         again = match_it_shape(p)
         assert shapes == again
@@ -214,6 +221,17 @@ def test_match_sound_and_deterministic_on_random_relators():
             assert is_conjugate(rebuilt, relator) or is_conjugate(
                 rebuilt, relator.inverse()
             )
+
+
+def test_best_cut_is_the_first_match_with_its_a_role():
+    # the family's search skips cuts by their integer key and keeps the least
+    # full key, the first found on a tie, as the sorted listing does
+    for p in _random_presentations(271828, 600):
+        core = criterion._shape_core(p)
+        shapes = match_it_shape(p)
+        for a, b in ((A, B), (B, A)):
+            first = next((s for s in shapes if s.a == a), None)
+            assert criterion._best_cut(core, a, b) == first, (p.relators[0].as_text(), a)
 
 
 def test_match_invariant_under_rotation_and_inversion():

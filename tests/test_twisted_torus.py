@@ -305,7 +305,7 @@ def _meridian_not_conjugate(x, y):
             "surviving relators are not inverse-equivalent",
         ),
         ("is_conjugate", _meridian_not_conjugate, "two-generator", "meridian image is not conjugate to a"),
-        ("class_in_h1", lambda p, w: (1,), "longitude", "corrected longitude has class 1, not 0"),
+        ("h1_classes", lambda p: lambda w: (1,), "longitude", "corrected longitude has class 1, not 0"),
     ],
 )
 def test_derivation_fails_at_the_named_stage(monkeypatch, capsys, name, replacement, stage, message):
