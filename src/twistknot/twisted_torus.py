@@ -94,6 +94,10 @@ class SubstitutionChain:
     Stage 1 passes from the five link-group generators to ``g = xi gamma^-1``,
     ``h = alpha beta gamma``; stage 2 passes to ``a = g^-1 h^(v+1)``,
     ``b = h a^-1``.  Maps send generators to words over the other side.
+
+    The derivation applies stage 2 only to the images of ``g`` and ``h``:
+    homomorphisms of free groups compose, and a reduced word is a normal
+    form, so the composite map gives the words the stages give in turn.
     """
 
     stage1_forward: Mapping[str, Word]
@@ -114,30 +118,39 @@ class SubstitutionChain:
                     raise ValueError(f"{label} does not invert on {gen}: {got.as_text()}")
 
 
-def substitution_chain(params: TwistParams) -> SubstitutionChain:
+def _stage1_backward(params: TwistParams, g: Word, h: Word) -> dict[str, Word]:
+    """The stage-1 backward map, its images built by ``**`` and ``*`` from the
+    words ``g`` and ``h``: on the letters ``g, h`` it is ``stage1_backward``,
+    on their ``a, b`` words the composite of both stages."""
     u, v = params.u, params.v
+    h_v1 = h ** (v + 1)
+    return {
+        "xi": h_v1,
+        "gamma": g.inverse() * h_v1,
+        "psi": (h ** (-v) * g) ** u,
+        "alpha": h_v1 * g.inverse(),
+        "beta": g * h ** (-2 * v - 1) * g,
+    }
+
+
+def substitution_chain(params: TwistParams) -> SubstitutionChain:
+    v = params.v
     g, h = _G, _H
-    hvg = h ** (-v) * g
     stage1_forward = {
         "g": word(("xi", 1), ("gamma", -1)),
         "h": word(("alpha", 1), ("beta", 1), ("gamma", 1)),
     }
-    stage1_backward = {
-        "xi": h ** (v + 1),
-        "gamma": g.inverse() * h ** (v + 1),
-        "psi": hvg**u,
-        "alpha": h ** (v + 1) * g.inverse(),
-        "beta": g * h ** (-2 * v - 1) * g,
-    }
     stage2_forward = {
         "a": g.inverse() * h ** (v + 1),
-        "b": hvg,
+        "b": h ** (-v) * g,
     }
     stage2_backward = {
         "h": _BA,
         "g": _BA**v * _B,
     }
-    return SubstitutionChain(stage1_forward, stage1_backward, stage2_forward, stage2_backward)
+    return SubstitutionChain(
+        stage1_forward, _stage1_backward(params, g, h), stage2_forward, stage2_backward
+    )
 
 
 @dataclass(frozen=True)
@@ -272,7 +285,9 @@ class Derivation:
 
     Computing them makes no judgement: ``derive_from_diagram`` raises at the
     first stage that fails, ``verify_proof`` compares them against the
-    paper's stated forms.
+    paper's stated forms.  The ``a, b`` words are read through the composite
+    of the two stages; being reduced, they are the words that
+    ``stage2_backward`` gives on the stage-1 images.
     """
 
     chain: SubstitutionChain
@@ -288,7 +303,16 @@ class Derivation:
 
 
 def derive_intermediates(params: TwistParams) -> Derivation:
-    """Run the derivation from the built-in link for one parameter pair."""
+    """Run the derivation from the built-in link for one parameter pair.
+
+    The ``a, b`` words come from one map, stage 2 after stage 1: the stage-1
+    images of the link generators built from the ``a, b`` words of ``g`` and
+    ``h``.  Free group homomorphisms compose and a reduced word is a normal
+    form, so these are the words the two stages give one after the other.
+    Built this way each costs its own runs, ``O(u + v)``; rewriting a long
+    ``g, h`` word run by run joins ``u`` images of ``O(v)`` runs that mostly
+    cancel.
+    """
     prefix, l0 = _link_prefix()
     try:
         filled = add_twist_relations(prefix, params.u, params.v)
@@ -296,20 +320,21 @@ def derive_intermediates(params: TwistParams) -> Derivation:
         raise PipelineError("add-twist-relations", str(exc)) from exc
     chain = substitution_chain(params)
     phi1, phi2 = chain.stage1_backward, chain.stage2_backward
+    composite = _stage1_backward(params, phi2["g"], phi2["h"])
     images = tuple(rel.substitute(phi1) for rel in filled.relators)
-    relator_gh = images[2].inverse()
     # the strand component's first arc alpha is its meridian
-    meridian_ab = phi1["alpha"].substitute(phi2)
-    long_ab = l0.substitute(phi1).substitute(phi2)
+    meridian_ab = composite["alpha"]
+    long_ab = l0.substitute(composite)
     # rebase: move the leading (ba)^(v+1) block to the end, then add the
     # meridian corrections a^-1 and a^(-3(3v+2)-2u)
     block = _BA ** (params.v + 1)
     longitude_paper = _A ** (-(3 * (3 * params.v + 2) + 2 * params.u)) * (
         _A ** (-1) * (block.inverse() * long_ab * block)
     )
+    relator_gh = images[2].inverse()
+    relator_ab = filled.relators[2].substitute(composite).inverse()
     return Derivation(
-        chain, images, relator_gh, relator_gh.substitute(phi2), meridian_ab, long_ab,
-        longitude_paper,
+        chain, images, relator_gh, relator_ab, meridian_ab, long_ab, longitude_paper
     )
 
 
@@ -391,7 +416,7 @@ def verify_proof(params: TwistParams) -> ProofReport:
     u, v = params.u, params.v
     d = derive_intermediates(params)
     stated = closed_form(params)
-    phi1 = d.chain.stage1_backward
+    phi1, phi2 = d.chain.stage1_backward, d.chain.stage2_backward
     g, h = _G, _H
     hvg = h ** (-v) * g
     checks: list[ProofCheck] = []
@@ -425,11 +450,13 @@ def verify_proof(params: TwistParams) -> ProofReport:
     )
     add("relator-5-maps-to-identity", img5.is_identity, image=img5.as_text())
 
-    second_form = (
-        h ** (v + 1) * g.inverse() * hvg ** (-u) * g ** (-2)
-        * h ** (2 * v + 1) * hvg**u
-    )
-    final_ab = second_form.substitute(d.chain.stage2_backward)
+    def stated_second_form(g: Word, h: Word) -> Word:
+        hvg = h ** (-v) * g
+        return h ** (v + 1) * g.inverse() * hvg ** (-u) * g ** (-2) * h ** (2 * v + 1) * hvg**u
+
+    # stage 2 applied to the form is the form written with g, h's images
+    second_form = stated_second_form(g, h)
+    final_ab = stated_second_form(phi2["g"], phi2["h"])
     template = stated.presentation.relators[0]
     add(
         "final-relator-equals-template",

@@ -11,7 +11,9 @@ The grid, for every member u in [-12, 30], v in [0, 4]: ``bound`` and
 ``h1 --p 3 --q 2``.  Then ``bound`` and ``check-slope`` as above for u in
 {60, 120}, v in {0, 2}, where most cuts of the relator cannot beat the best
 one.  Then ``enumerate`` on u in [-2, 1], v in [0, 1], p in
-{1, 2, 3, 5, 7, 11}, q = 1, both longitudes, ``--max-cosets 3000``.
+{1, 2, 3, 5, 7, 11}, q = 1, both longitudes, ``--max-cosets 3000``.  Last,
+``generate --mode derive`` and ``verify-proof`` at (u, v) in ``DERIVE_MEMBERS``,
+where the second change of generators does most of the derivation's work.
 
     PYTHONPATH=src python tests/digest_cli.py
 """
@@ -26,6 +28,7 @@ import sys
 from twistknot.cli import main as cli_main
 
 LONGITUDES = ("paper", "corrected")
+DERIVE_MEMBERS = ((60, 40), (-90, 25), (200, 50), (37, 120))
 
 
 def criterion_calls(member: list[str]) -> list[list[str]]:
@@ -58,6 +61,9 @@ def grid() -> list[list[str]]:
                 for use in LONGITUDES:
                     calls.append(["enumerate", "--u", str(u), "--v", str(v), f"--p={p}",
                                   "--q", "1", "--longitude", use, "--max-cosets", "3000"])
+    for u, v in DERIVE_MEMBERS:
+        member = ["--u", str(u), "--v", str(v)]
+        calls += [["generate", *member, "--mode", "derive"], ["verify-proof", *member]]
     return calls
 
 

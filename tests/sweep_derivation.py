@@ -31,8 +31,8 @@ from twistknot.twisted_torus import (
 )
 from twistknot.words import is_conjugate
 
-#: the parameter box: u in [-200, 200], v in [0, 50]
-BOX = ((-200, 200), (0, 50))
+#: the parameter box: u in [-200, 200], v in [0, 150]
+BOX = ((-200, 200), (0, 150))
 
 
 def check_member(u: int, v: int) -> list[str]:

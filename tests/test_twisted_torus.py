@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -83,7 +85,7 @@ def test_derive_matches_closed_form_spot_checks():
 
 
 def test_wide_derivation_sample():
-    # the four corners of u in [-200, 200] x v in [0, 50] plus 60 seeded
+    # the four corners of u in [-200, 200] x v in [0, 150] plus 60 seeded
     # members; tests/sweep_derivation.py run as a script checks the whole box
     bad = {m: f for m in sample(6, 60) if (f := check_member(*m))}
     assert not bad
@@ -224,19 +226,41 @@ def test_link_prefix_is_computed_once():
 
 
 def test_model_and_proof_read_one_derivation():
-    for u, v in [(0, 0), (-2, 1), (3, 2)]:
+    # the oracle is the stage-by-stage path: stage 2 applied run by run to
+    # the stage-1 words; the derivation applies the two stages as one map
+    _, l0 = _link_prefix()
+    g, h = word(("g", 1)), word(("h", 1))
+    for u, v in itertools.product((-40, -12, -2, 0, 3, 37), (0, 1, 2, 9, 30)):
         params = TwistParams(u, v)
         d = derive_intermediates(params)
         model = derive_from_diagram(params)
         report = verify_proof(params)
+        phi1, phi2 = d.chain.stage1_backward, d.chain.stage2_backward
+        composite = twisted_torus._stage1_backward(params, phi2["g"], phi2["h"])
+        assert composite == {x: image.substitute(phi2) for x, image in phi1.items()}
+        assert d.relator_ab == d.relator_gh.substitute(phi2)
+        assert d.long_ab == l0.substitute(phi1).substitute(phi2)
+        assert d.meridian_ab == phi1["alpha"].substitute(phi2)
+        hvg = h ** (-v) * g
+        second_form = h ** (v + 1) * g.inverse() * hvg ** (-u) * g ** (-2) * h ** (2 * v + 1) * hvg**u
+        assert report.check(6).details["final"] == second_form.substitute(phi2).as_text()
         assert model.presentation.relators == (d.relator_ab,)
-        assert d.relator_gh.substitute(d.chain.stage2_backward) == d.relator_ab
         assert model.longitude_precorrection == d.long_ab
         assert model.longitude_paper == d.longitude_paper
         assert model.twist_residue == d.images[6]
         assert report.check(7).details["longitude"] == d.long_ab.as_text()
         assert report.check(8).details["replayed"] == d.longitude_paper.as_text()
         assert report.check(9).details["measured_class"] == 2 * u
+
+
+def test_derivation_cost_follows_its_output_runs():
+    # stage 2 applied run by run to the g, h words costs about u * v: 34 s of
+    # CPU at (3000, 3000) on a shared 2-vCPU host, for words of O(u + v) runs
+    params = TwistParams(3000, 3000)
+    start = time.process_time()
+    derive_from_diagram(params)
+    verify_proof(params)
+    assert time.process_time() - start < 5
 
 
 def test_link_prefix_is_pinned():
