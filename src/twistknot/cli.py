@@ -12,8 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, is_dataclass
-from datetime import datetime, timezone
 from typing import Any, NoReturn
 
 from . import __version__
@@ -22,7 +20,7 @@ from .criterion import Slope, check_family_slope, minimal_integer_bound
 from .presentations import Presentation, alexander_polynomial, homology
 from .twisted_torus import TwistParams, closed_form, derive_from_diagram, verify_proof
 from .wirtinger import builtin_link_L, diagram_from_json, wirtinger_presentation
-from .words import Word
+from .words import Record, Word
 
 #: ``verify-proof --sweep``'s parameter box flags and their defaults
 _SWEEP_BOX = {"umin": -3, "umax": 3, "vmin": 0, "vmax": 4}
@@ -109,8 +107,8 @@ def _word_runs(result: Any) -> int:
     """Runs held by the words of a command's result, counted before it becomes JSON."""
     if isinstance(result, Word):
         return len(result.runs)
-    if is_dataclass(result):
-        return sum(_word_runs(getattr(result, f.name)) for f in fields(result))
+    if isinstance(result, Record):
+        return sum(map(_word_runs, result._values()))
     if isinstance(result, tuple):
         return sum(map(_word_runs, result))
     return 0
@@ -230,6 +228,8 @@ def _ledger_params(args: argparse.Namespace) -> dict:
 
 
 def _append_ledger(path: str, command: str, params: dict, payload: Any) -> None:
+    from datetime import datetime, timezone  # on first use: only a ledger needs it
+
     record = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "command": command,

@@ -12,13 +12,11 @@ reproductions can be compared across machines.
 
 from __future__ import annotations
 
-import hashlib
 from array import array
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .presentations import Presentation, PresentationError, add_relators
-from .words import is_integer
+from .words import Record, is_integer
 
 if TYPE_CHECKING:
     from .twisted_torus import KnotGroupModel
@@ -36,8 +34,7 @@ MAX_RELATOR_LETTERS = 10**6
 STRATEGY = "hlt/first-undefined/no-lookahead"
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     """Outcome of one enumeration: ``finished`` with a group order, or
     ``exceeded`` when the coset budget ran out (a result, not a failure)."""
 
@@ -53,7 +50,7 @@ class EnumerationResult:
         return self.outcome == "finished"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def surgered_presentation(model: KnotGroupModel, slope, use: str = "paper") -> Presentation:
@@ -235,7 +232,9 @@ def _exceeded(max_cosets: int) -> EnumerationResult:
 
 
 def _hash_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    from hashlib import sha256  # on first use: only an enumeration hashes
+
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 def _canonical_walk(table: list) -> tuple[int, str]:
@@ -252,7 +251,9 @@ def _canonical_walk(table: list) -> tuple[int, str]:
             if target and not number[target]:
                 order_list.append(target)
                 number[target] = len(order_list)
-    hasher = hashlib.sha256()
+    from hashlib import sha256
+
+    hasher = sha256()
     hasher.update(STRATEGY.encode())
     for coset in order_list:
         hasher.update(str([number[column[coset]] for column in table]).encode())

@@ -11,16 +11,17 @@ group.  Below the bound the criterion is silent (verdict ``Unknown``).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import gcd
 from operator import itemgetter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .presentations import Presentation
 from .twisted_torus import KnotGroupModel, TwistParams, closed_form
-from .words import Generator, Word, is_integer, is_positive_excluding
+from .words import Generator, Record, Word, is_integer, is_positive_excluding
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 #: shape matching expands the relator into single letters and indexes every
@@ -33,8 +34,7 @@ class CriterionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ITShape:
+class ITShape(Record):
     """One decomposition of a relator into the criterion shape."""
 
     a: Generator
@@ -70,8 +70,7 @@ class ITShape:
         }
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Record):
     """A surgery slope ``p/q`` in lowest terms; ``q`` is normalized >= 0."""
 
     p: int
@@ -89,6 +88,8 @@ class Slope:
             object.__setattr__(self, "q", -self.q)
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction  # on first use: nothing else here needs it
+
         if self.q == 0:
             raise CriterionError("1/0 filling has no rational value")
         return Fraction(self.p, self.q)
@@ -287,8 +288,7 @@ def _best_cut(core: Word, a: Generator, b: Generator) -> Optional[ITShape]:
 # -- the decision ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     kind: str  # "GuaranteedNonLO" | "NotApplicable" | "Unknown"
     reason: Optional[str] = None
 
@@ -314,13 +314,12 @@ def decide(shape: Optional[ITShape], w_positive: bool, bound: int, slope: Slope)
         return Verdict("NotApplicable", "k must be >= 0")
     if not w_positive:
         return Verdict("NotApplicable", "w not positive")
-    if slope.as_fraction() >= bound:
+    if slope.p >= bound * slope.q:  # p/q >= bound, as q > 0
         return Verdict("GuaranteedNonLO")
     return Verdict("Unknown")
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(Record):
     """Full criterion evaluation for one family member and slope."""
 
     params: TwistParams

@@ -12,12 +12,11 @@ Crowell-Fox, ch. VII), an exact division computed in one dense pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .words import Generator, Word, is_conjugate
+from .words import Generator, Record, Word, is_conjugate
 
 
 class PresentationError(ValueError):
@@ -30,8 +29,7 @@ class PresentationError(ValueError):
 MAX_FOX_TERMS = 10**6
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Generators plus relators; relators are stored freely reduced.  Generators
     may be given as plain names; they are stored as ``Generator``s."""
 
@@ -185,8 +183,7 @@ def smith_normal_form(
     return diag, u, v
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(Record):
     """Invariant factors (> 1, in divisibility order) and free rank of H1."""
 
     torsion_orders: tuple[int, ...]

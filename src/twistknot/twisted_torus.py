@@ -17,7 +17,6 @@ on the derived model rather than silently discarded.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import cache
 from typing import Mapping
 
@@ -29,7 +28,7 @@ from .wirtinger import (
     peripheral_system,
     wirtinger_presentation,
 )
-from .words import Word, is_conjugate, is_integer, word
+from .words import Record, Word, is_conjugate, is_integer, word
 
 
 class PipelineError(RuntimeError):
@@ -44,8 +43,7 @@ _A, _B, _G, _H = (word((name, 1)) for name in "abgh")
 _BA = _B * _A
 
 
-@dataclass(frozen=True)
-class TwistParams:
+class TwistParams(Record):
     """``u`` full twists on two strands of the (3, 3v+2) torus knot, ``v >= 0``."""
 
     u: int
@@ -87,8 +85,7 @@ def s_paper_value(params: TwistParams) -> int:
     return 2 * params.u + 3 * (3 * params.v + 2) + 1
 
 
-@dataclass(frozen=True)
-class SubstitutionChain:
+class SubstitutionChain(Record):
     """The two changes of generating set used by the derivation.
 
     Stage 1 passes from the five link-group generators to ``g = xi gamma^-1``,
@@ -153,8 +150,7 @@ def substitution_chain(params: TwistParams) -> SubstitutionChain:
     )
 
 
-@dataclass(frozen=True)
-class KnotGroupModel:
+class KnotGroupModel(Record):
     """Two-generator knot group presentation with its peripheral words."""
 
     params: TwistParams
@@ -279,8 +275,7 @@ def _link_prefix() -> tuple[Presentation, Word]:
     return p, longitude
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     """Named intermediates of the derivation for one member.
 
     Computing them makes no judgement: ``derive_from_diagram`` raises at the
@@ -371,19 +366,17 @@ def derive_from_diagram(params: TwistParams) -> KnotGroupModel:
 # -- step-by-step proof replay ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofCheck:
+class ProofCheck(Record):
     index: int
     name: str
     passed: bool
     details: dict
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "details": dict(self.details)}
 
 
-@dataclass(frozen=True)
-class ProofReport:
+class ProofReport(Record):
     params: TwistParams
     checks: tuple[ProofCheck, ...]
 

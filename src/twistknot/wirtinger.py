@@ -11,11 +11,10 @@ in their intended display rotations.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .presentations import Presentation, PresentationError, add_relators
-from .words import Word, is_integer, is_name, word
+from .words import Record, Word, is_integer, is_name, word
 
 
 class DiagramError(ValueError):
@@ -25,8 +24,7 @@ class DiagramError(ValueError):
 _FORMS = ("in_first", "conj_first", "out_first")
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     """One signed crossing: the under strand runs ``under_in -> under_out``.
 
     Sign +1 means the under strand passes right-to-left as seen along the
@@ -62,8 +60,7 @@ class Crossing:
         return u.inverse() * o**-e * i * o**e
 
 
-@dataclass(frozen=True)
-class LinkDiagram:
+class LinkDiagram(Record):
     """Arcs, their partition into oriented components, and signed crossings.
 
     Sequences are stored as tuples, and components given no names are named
@@ -129,8 +126,7 @@ def wirtinger_presentation(d: LinkDiagram) -> Presentation:
     return Presentation(d.arcs, tuple(c.relator() for c in d.crossings))
 
 
-@dataclass(frozen=True)
-class PeripheralSystem:
+class PeripheralSystem(Record):
     component: str
     meridian: Word
     longitude: Word
@@ -248,7 +244,7 @@ def diagram_to_json(d: LinkDiagram) -> dict:
         "arcs": list(d.arcs),
         "components": [list(c) for c in d.components],
         "component_names": list(d.component_names),
-        "crossings": [asdict(c) for c in d.crossings],
+        "crossings": [c._asdict() for c in d.crossings],
     }
 
 

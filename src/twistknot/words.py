@@ -36,6 +36,79 @@ class SubstitutionError(ValueError):
     """A substitution map is missing a generator that occurs in the word."""
 
 
+class Record:
+    """Base of the package's small frozen records, without ``dataclasses``.
+
+    A subclass's annotated names are its fields, in order (``_fields``), and a
+    class attribute is a field's default; defaults come last.  The fields go
+    into the instance's ``__dict__`` in one update, then ``__post_init__``
+    runs and may normalize them with ``object.__setattr__``.  Setting or
+    deleting an attribute raises ``AttributeError``.  Records compare and hash
+    by their field values, and records of different classes are never equal.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()  # the trailing fields' defaults, in order
+
+    def __init_subclass__(cls) -> None:
+        fields = cls._fields = tuple(cls.__annotations__)
+        cls._defaults = tuple(vars(cls)[f] for f in fields if f in vars(cls))
+        if not all(f in vars(cls) for f in fields[len(fields) - len(cls._defaults):]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with")
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            self.__dict__.update(self._bind(args, kwargs))
+        else:  # the fast path: every field given by position
+            self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict):
+        """``(field, value)`` pairs from a call that leaves fields to their
+        defaults or names them; ``TypeError`` on a field missing, unknown or
+        given twice, or too many arguments."""
+        fields, defaults = self._fields, self._defaults
+        if not kwargs and 0 < len(fields) - len(args) <= len(defaults):
+            return zip(fields, args + defaults[len(args) - len(fields):])
+        values = dict(zip(fields[len(fields) - len(defaults):], defaults))
+        values.update(zip(fields, args))
+        values.update(kwargs)
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__name__}() takes the fields ({', '.join(fields)}); "
+                            f"got {len(args)} positional argument(s) and keywords {sorted(kwargs)}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _asdict(self) -> dict:
+        """The fields by name, in order; their values are not copied."""
+        return dict(zip(self._fields, self._values()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 class Generator(str):
     """A named free-group generator.
 

@@ -15,6 +15,12 @@ one.  Then ``enumerate`` on u in [-2, 1], v in [0, 1], p in
 ``generate --mode derive`` and ``verify-proof`` at (u, v) in ``DERIVE_MEMBERS``,
 where the second change of generators does most of the derivation's work.
 
+A second digest covers the command line's other surfaces: ``--help`` for the
+top level and every subcommand (with ``COLUMNS=80``, so the wrapping does not
+follow the terminal), usage errors that exit 2, ``--format text``, and
+library errors that exit 1.  The script refuses to print it when one of those
+calls exits with another code.
+
     PYTHONPATH=src python tests/digest_cli.py
 """
 
@@ -23,12 +29,54 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 
 from twistknot.cli import main as cli_main
 
 LONGITUDES = ("paper", "corrected")
 DERIVE_MEMBERS = ((60, 40), (-90, 25), (200, 50), (37, 120))
+SUBCOMMANDS = ("wirtinger", "generate", "verify-proof", "check-slope", "bound", "h1",
+               "alexander", "enumerate")
+MEMBER = ["--u", "3", "--v", "2"]
+
+#: command lines that exit 2: argparse's own errors, then ``_check_flags``' rules
+USAGE_ERRORS = (
+    [],
+    ["frobnicate"],
+    ["--format", "xml", "bound", *MEMBER],
+    ["bound", "--u", "3"],
+    ["bound", "--u", "x", "--v", "2"],
+    ["bound", *MEMBER, "--longitude", "other"],
+    ["bound", *MEMBER, "--extra"],
+    ["check-slope", *MEMBER, "--p", "5"],
+    ["wirtinger"],
+    ["wirtinger", "--builtin", "--diagram", "d.json"],
+    ["h1", "--u", "3"],
+    ["h1", *MEMBER, "--q", "2"],
+    ["h1", "--presentation", "p.json", "--u", "3"],
+    ["verify-proof", "--sweep", "--u", "3"],
+    ["verify-proof", "--umin", "0"],
+    ["verify-proof", "--sweep", "--umin", "3", "--umax", "1"],
+)
+
+#: command lines that exit 1: the library refuses the values
+LIBRARY_ERRORS = (
+    ["check-slope", *MEMBER, "--p", "0", "--q", "0"],
+    ["check-slope", *MEMBER, "--p", "4", "--q", "2"],
+    ["generate", "--u", "3", "--v", "-1"],
+    ["bound", "--u", "3", "--v", "-1"],
+    ["h1", *MEMBER, "--p", "4", "--q", "2"],
+    ["enumerate", *MEMBER, "--p", "0", "--q", "0"],
+    ["enumerate", *MEMBER, "--p", "5", "--q", "1", "--max-cosets", "0"],
+)
+
+TEXT_CALLS = (
+    ["--format", "text", "bound", *MEMBER],
+    ["--format", "text", "check-slope", *MEMBER, "--p", "40", "--q", "1"],
+    ["--format", "text", "check-slope", *MEMBER, "--p", "7", "--q", "2"],
+    ["--format", "text", "h1", *MEMBER, "--p", "3", "--q", "2"],
+)
 
 
 def criterion_calls(member: list[str]) -> list[list[str]]:
@@ -67,19 +115,39 @@ def grid() -> list[list[str]]:
     return calls
 
 
+def surface_grid() -> list[tuple[list[str], int]]:
+    """The second grid's calls, each with the exit code it must give."""
+    helps = [["--help"]] + [[command, "--help"] for command in SUBCOMMANDS]
+    return ([(argv, 0) for argv in helps] + [(argv, 2) for argv in USAGE_ERRORS]
+            + [(argv, 0) for argv in TEXT_CALLS] + [(argv, 1) for argv in LIBRARY_ERRORS])
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # --help prints usage and exits
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
 def main() -> int:
+    os.environ["COLUMNS"] = "80"
     hasher = hashlib.sha256()
     calls = grid()
     for argv in calls:
         hasher.update(repr((argv, *run(argv))).encode())
     print(f"{len(calls)} calls, sha256 {hasher.hexdigest()}")
+    hasher = hashlib.sha256()
+    surface = surface_grid()
+    for argv, expected in surface:
+        result = run(argv)
+        if result[0] != expected:
+            print(f"{argv} exited {result[0]}, not {expected}", file=sys.stderr)
+            return 1
+        hasher.update(repr((argv, *result)).encode())
+    print(f"{len(surface)} help, usage, text and error calls, sha256 {hasher.hexdigest()}")
     return 0
 
 

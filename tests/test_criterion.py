@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -36,6 +37,19 @@ def test_slope_validation():
     assert Slope(3, -2) == Slope(-3, 2)
     assert Slope(-1, 0) == Slope(1, 0)
     assert Slope(7, 2).as_fraction() == Fraction(7, 2)
+
+
+def test_decide_compares_the_slope_to_the_bound_exactly():
+    # decide compares p >= bound * q in integers; the exact rational comparison agrees
+    shape = check_family_slope(TwistParams(3, 2), Slope(40, 1)).shape
+    for p in range(-30, 31):
+        for q in range(1, 8):
+            if gcd(p, q) != 1:
+                continue
+            slope = Slope(p, q)
+            for bound in range(-20, 21):
+                certified = decide(shape, True, bound, slope).kind == "GuaranteedNonLO"
+                assert certified == (slope.as_fraction() >= bound), (p, q, bound)
 
 
 @pytest.mark.parametrize("p, q", [(True, 1), (3, True), (0.5, 1), (1, 2.0), ("1", 1), (None, 1)])

@@ -2,6 +2,8 @@
 package exports a fixed set of public names."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import twistknot
@@ -85,3 +87,21 @@ PUBLIC_NAMES = {
 
 def test_public_surface_is_pinned():
     assert set(twistknot.__all__) == PUBLIC_NAMES
+
+
+#: standard modules that cost more to import than the package needs them:
+#: ``dataclasses`` pulls in ``inspect``, and each of the others served one call
+SLOW_STDLIB = ("dataclasses", "inspect", "fractions", "decimal", "datetime", "hashlib")
+LIBRARY = ("words", "presentations", "wirtinger", "twisted_torus", "criterion", "coset_enum")
+
+
+def test_start_up_loads_the_library_and_no_slow_stdlib_module():
+    # a fresh interpreter without site: what a command pays for before its work;
+    # every library module stays loaded, as a tracer patching them all expects
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+             "import twistknot, twistknot.cli; print(' '.join(sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=60)
+    loaded = set(out.stdout.split())
+    assert [name for name in SLOW_STDLIB if name in loaded] == []
+    assert [name for name in LIBRARY if f"twistknot.{name}" not in loaded] == []

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import subprocess
@@ -13,9 +12,16 @@ from sweep_derivation import check_member, sample
 import twistknot
 from twistknot import twisted_torus
 from twistknot.cli import main
-from twistknot.presentations import PresentationError, alexander_polynomial, class_in_h1, homology
+from twistknot.presentations import (
+    Presentation,
+    PresentationError,
+    alexander_polynomial,
+    class_in_h1,
+    homology,
+)
 from twistknot.twisted_torus import (
     PipelineError,
+    SubstitutionChain,
     TwistParams,
     _link_prefix,
     closed_form,
@@ -291,14 +297,15 @@ def _replace_filled_relator(index, by):
         filled = real(p, u, v)
         relators = list(filled.relators)
         relators[index] = by(filled.relators)
-        return dataclasses.replace(filled, relators=tuple(relators))
+        return Presentation(filled.generators, tuple(relators))
 
     return patched
 
 
 def _chain_with_wrong_stage2_forward(params):
     chain = substitution_chain(params)
-    return dataclasses.replace(chain, stage2_forward={**chain.stage2_forward, "b": word(("g", 1))})
+    wrong = {**chain.stage2_forward, "b": word(("g", 1))}
+    return SubstitutionChain(chain.stage1_forward, chain.stage1_backward, wrong, chain.stage2_backward)
 
 
 def _meridian_not_conjugate(x, y):

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import pytest
 
 from twistknot.presentations import PresentationError, homology, alexander_polynomial
@@ -261,9 +259,9 @@ def test_diagram_json_roundtrip():
 def test_diagram_json_writes_every_field():
     # a field the JSON leaves out would make the round trip lossy
     data = diagram_to_json(builtin_link_L())
-    assert data.keys() == {f.name for f in fields(LinkDiagram)}
+    assert data.keys() == set(LinkDiagram._fields)
     for crossing in data["crossings"]:
-        assert list(crossing) == [f.name for f in fields(Crossing)]
+        assert list(crossing) == list(Crossing._fields)
 
 
 def _eliminate_to_two_generators(d: LinkDiagram, p: Presentation) -> Presentation:
