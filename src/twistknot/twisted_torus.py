@@ -41,6 +41,9 @@ class PipelineError(RuntimeError):
 
 _A, _B, _G, _H = (word((name, 1)) for name in "abgh")
 _BA = _B * _A
+#: the stage-1 forward images of ``g`` and ``h``
+_XI_GAMMA = word(("xi", 1), ("gamma", -1))
+_ALPHA_BETA_GAMMA = word(("alpha", 1), ("beta", 1), ("gamma", 1))
 
 
 class TwistParams(Record):
@@ -133,10 +136,7 @@ def _stage1_backward(params: TwistParams, g: Word, h: Word) -> dict[str, Word]:
 def substitution_chain(params: TwistParams) -> SubstitutionChain:
     v = params.v
     g, h = _G, _H
-    stage1_forward = {
-        "g": word(("xi", 1), ("gamma", -1)),
-        "h": word(("alpha", 1), ("beta", 1), ("gamma", 1)),
-    }
+    stage1_forward = {"g": _XI_GAMMA, "h": _ALPHA_BETA_GAMMA}
     stage2_forward = {
         "a": g.inverse() * h ** (v + 1),
         "b": h ** (-v) * g,

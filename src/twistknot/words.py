@@ -12,6 +12,14 @@ runs that are already reduced, so it cancels or merges only at the seam where
 two reduced run lists meet: the product of two reduced words reduces there
 and nowhere else (Lyndon-Schupp, *Combinatorial Group Theory*, I.1).
 
+Each operation takes its common case in one step and leaves the rest to the
+general seam and cyclic paths.  Two reduced run lists whose seam neither
+merges nor cancels (the left list's last generator differs from the right
+list's first, or one list is empty) concatenate to a reduced list, so such a
+product is one tuple concatenation; a word of one run raised to ``n`` is the
+one run ``(g, e*n)``; and ``substitute`` reads the image of ``x^1`` and
+``x^-1`` from the map or its inverse.
+
 ``**`` and ``substitute`` repeat a multi-run core ``|n|`` times, so they
 refuse, with a ``ValueError`` and before allocating, to build a word of more
 than ``MAX_WORD_RUNS`` runs.
@@ -49,25 +57,29 @@ class Record:
 
     _fields: tuple[str, ...] = ()
     _defaults: tuple = ()  # the trailing fields' defaults, in order
+    _field_set: frozenset = frozenset()
 
     def __init_subclass__(cls) -> None:
         fields = cls._fields = tuple(cls.__annotations__)
+        cls._field_set = frozenset(fields)
         cls._defaults = tuple(vars(cls)[f] for f in fields if f in vars(cls))
         if not all(f in vars(cls) for f in fields[len(fields) - len(cls._defaults):]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with")
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
-        if kwargs or len(args) != len(fields):
-            self.__dict__.update(self._bind(args, kwargs))
-        else:  # the fast path: every field given by position
+        if not kwargs and len(args) == len(fields):  # every field given by position
             self.__dict__.update(zip(fields, args))
+        elif not args and kwargs.keys() == self._field_set:  # every field named
+            self.__dict__.update(kwargs)
+        else:
+            self.__dict__.update(self._bind(args, kwargs))
         self.__post_init__()
 
     def _bind(self, args: tuple, kwargs: dict):
         """``(field, value)`` pairs from a call that leaves fields to their
-        defaults or names them; ``TypeError`` on a field missing, unknown or
-        given twice, or too many arguments."""
+        defaults or names some of them; ``TypeError`` on a field missing,
+        unknown or given twice, or too many arguments."""
         fields, defaults = self._fields, self._defaults
         if not kwargs and 0 < len(fields) - len(args) <= len(defaults):
             return zip(fields, args + defaults[len(args) - len(fields):])
@@ -173,6 +185,9 @@ def _reduce_runs(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[Generator, int
 def _join(out: list[tuple[Generator, int]], runs: Sequence[tuple[Generator, int]]) -> None:
     """Append the reduced ``runs`` to the reduced run list ``out``, cancelling or
     merging only where the two meet."""
+    if not out or not runs or out[-1][0] != runs[0][0]:
+        out.extend(runs)
+        return
     i = 0
     while out and i < len(runs) and out[-1][0] == runs[i][0]:
         gen, merged = runs[i][0], out.pop()[1] + runs[i][1]
@@ -188,7 +203,7 @@ def _over_cap(runs: int) -> ValueError:
 
 
 def _inverse_runs(runs: Sequence[tuple[Generator, int]]) -> tuple[tuple[Generator, int], ...]:
-    return tuple((g, -e) for g, e in reversed(runs))
+    return tuple([(g, -e) for g, e in reversed(runs)])
 
 
 def _cyclic(core: tuple[tuple[Generator, int], ...]) -> tuple[tuple[Generator, int], ...]:
@@ -198,13 +213,6 @@ def _cyclic(core: tuple[tuple[Generator, int], ...]) -> tuple[tuple[Generator, i
     if len(core) < 2 or core[0][0] != core[-1][0]:
         return core[-1:] + core[:-1]
     return ((core[0][0], core[-1][1] + core[0][1]),) + core[1:-1]
-
-
-def _reduced(runs: tuple[tuple[Generator, int], ...]) -> "Word":
-    """The word over ``runs``, which the caller guarantees are freely reduced."""
-    w = object.__new__(Word)
-    object.__setattr__(w, "runs", runs)
-    return w
 
 
 class Word:
@@ -232,7 +240,7 @@ class Word:
         return hash(self.runs)
 
     def __len__(self) -> int:
-        return sum(abs(e) for _, e in self.runs)
+        return sum([abs(e) for _, e in self.runs])
 
     def __bool__(self) -> bool:
         return bool(self.runs)
@@ -248,18 +256,22 @@ class Word:
         """Plain-text form, e.g. ``b a b^-2 a``; ``1`` for the identity."""
         if not self.runs:
             return "1"
-        parts = []
-        for gen, exp in self.runs:
-            parts.append(gen if exp == 1 else f"{gen}^{exp}")
-        return " ".join(parts)
+        return " ".join([gen if exp == 1 else f"{gen}^{exp}" for gen, exp in self.runs])
 
     # -- group operations --------------------------------------------------
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        out = list(self.runs)
-        _join(out, other.runs)
+        left, right = self.runs, other.runs
+        if not right:
+            return self
+        if not left:
+            return other
+        if left[-1][0] != right[0][0]:  # no seam: the concatenation is reduced
+            return _reduced(left + right)
+        out = list(left)
+        _join(out, right)
         return _reduced(tuple(out))
 
     def inverse(self) -> "Word":
@@ -275,6 +287,9 @@ class Word:
             raise ValueError(_PAIRS)
         if n == 1:
             return self
+        if len(self.runs) == 1:
+            gen, exp = self.runs[0]
+            return _reduced(((gen, exp * n),) if n else ())
         if n == -1:
             return self.inverse()
         core, conj = self.cyclic_reduce()
@@ -307,21 +322,31 @@ class Word:
         """Image under the homomorphism sending each generator to its value.
 
         Each distinct run ``x^e`` is raised to its image ``x_image ** e`` once per
-        call, and the images are joined onto one run list, which reduces only
-        where they meet.  ``ValueError`` if the image could hold more than
-        ``MAX_WORD_RUNS`` runs.
+        call (``x_image`` or its inverse for ``e = ±1``), and the images are
+        joined onto one run list, which reduces only where they meet.
+        ``ValueError`` if the image could hold more than ``MAX_WORD_RUNS`` runs.
         """
         images: dict[tuple[Generator, int], tuple] = {}
         out: list[tuple[Generator, int]] = []
         for run in self.runs:
             image = images.get(run)
             if image is None:
-                if run[0] not in mapping:
-                    raise SubstitutionError(f"no image given for generator {run[0].name!r}")
-                image = images[run] = (mapping[run[0]] ** run[1]).runs
+                gen, exp = run
+                if gen not in mapping:
+                    raise SubstitutionError(f"no image given for generator {gen.name!r}")
+                if exp == 1:
+                    image = mapping[gen].runs
+                elif exp == -1:
+                    image = _inverse_runs(mapping[gen].runs)
+                else:
+                    image = (mapping[gen] ** exp).runs
+                images[run] = image
             if len(out) + len(image) > MAX_WORD_RUNS:
                 raise _over_cap(len(out) + len(image))
-            _join(out, image)
+            if out and image and out[-1][0] == image[0][0]:
+                _join(out, image)
+            else:
+                out.extend(image)
         return _reduced(tuple(out))
 
     # -- structure ---------------------------------------------------------
@@ -338,12 +363,15 @@ class Word:
         return {g for g, _ in self.runs}
 
     def exponent_sum(self, gen: Generator) -> int:
-        return sum(e for g, e in self.runs if g == gen)
+        return sum([e for g, e in self.runs if g == gen])
 
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return ``(core, conjugator)`` with ``self == conjugator * core * conjugator^-1``
         and ``core`` cyclically reduced."""
-        runs = list(self.runs)
+        runs = self.runs
+        if len(runs) < 2 or runs[0][0] != runs[-1][0] or (runs[0][1] > 0) == (runs[-1][1] > 0):
+            return self, _reduced(())  # the end runs do not cancel
+        runs = list(runs)
         i, j = 0, len(runs) - 1
         peeled: list[tuple[Generator, int]] = []
         while i < j and runs[i][0] == runs[j][0] and (runs[i][1] > 0) != (runs[j][1] > 0):
@@ -353,8 +381,6 @@ class Word:
             peeled.append((gen, step))
             runs[i], runs[j] = (gen, first - step), (gen, last + step)
             i, j = i + (runs[i][1] == 0), j - (runs[j][1] == 0)
-        if not peeled:
-            return self, _reduced(())
         # both are reduced by construction: a slice of reduced runs whose end runs only
         # shrank, and peeled runs that alternate generators
         return _reduced(tuple(runs[i : j + 1])), _reduced(tuple(peeled))
@@ -386,6 +412,16 @@ class Word:
             except ValueError:  # an empty name, or more digits than int() reads
                 pass
         raise ValueError(f"malformed word text {text!r}")
+
+
+_set_runs = Word.runs.__set__  # the slot's own setter, past Word.__setattr__
+
+
+def _reduced(runs: tuple[tuple[Generator, int], ...]) -> Word:
+    """The word over ``runs``, which the caller guarantees are freely reduced."""
+    w = object.__new__(Word)
+    _set_runs(w, runs)
+    return w
 
 
 def word(*pairs: tuple[str, int]) -> Word:

@@ -1,8 +1,9 @@
 """One digest of the CLI's output over a fixed grid of calls.
 
 A change meant to keep every output the same should leave this digest as it
-was: run the script on the parent commit and on the change and compare.  Each
-call runs ``cli.main`` in-process; the digest is the sha256 of
+was: ``--check`` compares both digests with the ones recorded below, and a
+change that alters output on purpose records the new ones.  Each call runs
+``cli.main`` in-process; the digest is the sha256 of
 ``repr((argv, exit code, stdout, stderr))`` for every call, in order.
 
 The grid, for every member u in [-12, 30], v in [0, 4]: ``bound`` and
@@ -21,11 +22,15 @@ follow the terminal), usage errors that exit 2, ``--format text``, and
 library errors that exit 1.  The script refuses to print it when one of those
 calls exits with another code.
 
-    PYTHONPATH=src python tests/digest_cli.py
+    PYTHONPATH=src python tests/digest_cli.py [--check]
+
+Without ``--check`` the script prints both digests.  With it, it exits 1 and
+names each grid whose digest differs from the recorded one.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -70,6 +75,13 @@ LIBRARY_ERRORS = (
     ["enumerate", *MEMBER, "--p", "0", "--q", "0"],
     ["enumerate", *MEMBER, "--p", "5", "--q", "1", "--max-cosets", "0"],
 )
+
+#: the digests of the current output: the first grid, then the second
+RECORDED = {
+    "calls": "c313c6327c70cfbb7ddc07af61b7c0c9768b57d60ef265928c2fbe0c78c3e108",
+    "help, usage, text and error calls":
+        "e269b97cb2b151aed43b278f2621253a49f751e6cb5603fd12091072bb50db69",
+}
 
 TEXT_CALLS = (
     ["--format", "text", "bound", *MEMBER],
@@ -132,23 +144,37 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Digest the CLI's output over fixed grids.")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 unless both digests equal the recorded ones")
+    check = parser.parse_args(argv).check
     os.environ["COLUMNS"] = "80"
+    digests = {}
     hasher = hashlib.sha256()
     calls = grid()
-    for argv in calls:
-        hasher.update(repr((argv, *run(argv))).encode())
-    print(f"{len(calls)} calls, sha256 {hasher.hexdigest()}")
+    for call in calls:
+        hasher.update(repr((call, *run(call))).encode())
+    digests["calls"] = hasher.hexdigest()
+    print(f"{len(calls)} calls, sha256 {digests['calls']}")
     hasher = hashlib.sha256()
     surface = surface_grid()
-    for argv, expected in surface:
-        result = run(argv)
+    for call, expected in surface:
+        result = run(call)
         if result[0] != expected:
-            print(f"{argv} exited {result[0]}, not {expected}", file=sys.stderr)
+            print(f"{call} exited {result[0]}, not {expected}", file=sys.stderr)
             return 1
-        hasher.update(repr((argv, *result)).encode())
-    print(f"{len(surface)} help, usage, text and error calls, sha256 {hasher.hexdigest()}")
-    return 0
+        hasher.update(repr((call, *result)).encode())
+    name = "help, usage, text and error calls"
+    digests[name] = hasher.hexdigest()
+    print(f"{len(surface)} {name}, sha256 {digests[name]}")
+    if not check:
+        return 0
+    differ = [name for name, digest in digests.items() if digest != RECORDED[name]]
+    for name in differ:
+        print(f"the digest of the {name} differs from the recorded {RECORDED[name]}",
+              file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -248,6 +248,26 @@ def test_best_cut_is_the_first_match_with_its_a_role():
             assert criterion._best_cut(core, a, b) == first, (p.relators[0].as_text(), a)
 
 
+def test_family_cuts_at_the_least_integer_key_spell_the_same_words():
+    # pinned, not proved: on the family the meridian-rooted cuts that reach the
+    # least integer key (|w1| + |w2|, m, n, r, k) all have the same w1 and w2,
+    # so the text compare in _best_cut never decides between different words
+    for u in range(-6, 13):
+        for v in range(5):
+            p = closed_form(TwistParams(u, v)).presentation
+            least = []
+
+            def wanted(bound):
+                return not least or bound <= least[0][:5]
+
+            for key, _, _, _ in criterion._cuts(criterion._shape_core(p), *p.generators, wanted):
+                if not least or key[:5] < least[0][:5]:
+                    least = [key]
+                elif key[:5] == least[0][:5]:
+                    least.append(key)
+            assert len({key[5:7] for key in least}) <= 1, (u, v, least)
+
+
 def test_match_invariant_under_rotation_and_inversion():
     rng = random.Random(12)
     for u, v in [(0, 0), (-1, 1), (2, 2)]:

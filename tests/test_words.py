@@ -366,6 +366,38 @@ def test_run_operations_never_expand_letters(monkeypatch):
         assert x.substitute(mapping) == _ref_substitute(x, mapping)
 
 
+def test_common_cases_skip_the_seam_path(monkeypatch):
+    # a product with no seam, a one-run power and images that never meet are
+    # built in one step; only a seam that merges or cancels goes through _join
+    def refuse(*args):
+        raise AssertionError("the general path ran for a common case")
+
+    ab, ca, a2 = word(("a", 1), ("b", 2)), word(("c", -1), ("a", 3)), word(("a", 2))
+    apart = {A: word(("x", 1), ("y", 1)), B: word(("z", 2)), C: word(("y", -1), ("x", 1))}
+    x = word(("a", 1), ("b", 1), ("c", 1), ("a", -1), ("b", 3))  # x y z^2 y^-1 x y^-1 x^-1 z^6
+    cases = [
+        (lambda: ab * ca, Word(_letters(ab) + _letters(ca))),
+        (lambda: ab * Word(), ab),
+        (lambda: Word() * ab, ab),
+        (lambda: a2**0, Word()),
+        (lambda: a2**2, word(("a", 4))),
+        (lambda: a2**-2, word(("a", -4))),
+        (lambda: a2 ** 10**30, word(("a", 2 * 10**30))),
+        (lambda: x.substitute(apart), _ref_substitute(x, apart)),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(words, "_join", refuse)
+        for operation, expected in cases:
+            assert operation() == expected
+    unit = word(("a", 1), ("b", -1), ("c", 1), ("a", -1), ("b", 1))
+    expected = _ref_substitute(unit, _SEAM_MAPPING)
+    with monkeypatch.context() as patch:
+        patch.setattr(Word, "__pow__", refuse)
+        assert unit.substitute(_SEAM_MAPPING) == expected
+    for w in (Word(), a2, ab, word(("a", 2), ("b", 1), ("a", 1))):  # nothing peels
+        assert w.cyclic_reduce()[0] is w
+
+
 # -- operations reduce only where two reduced run lists meet ----------------------
 
 
@@ -415,6 +447,8 @@ def _seam_cases():
             cases.append((lambda x=x, y=y: is_conjugate(x, y), _ref_is_conjugate(x, y)))
     xy, yxz, aba, yyxxxcccc = (_SEAM_SAMPLES[k] for k in (2, 3, 4, 7))
     yxx, ca, b = word(("y", 1), ("x", 2)), word(("c", 4), ("a", -1)), word(("b", 1))
+    a2, a3, ab = word(("a", 2)), word(("a", 3)), word(("a", 1), ("b", 1))
+    bc, four = Word.parse("b^-1 c"), Word.parse("a b^2 c^-1 a^3")
     return cases + [
         (lambda: xy * yxz, word(("z", 1))),  # cancels past the seam
         # the conjugator, then the core's first copy (first two copies) cancel wholly into y's image
@@ -425,6 +459,14 @@ def _seam_cases():
         (lambda: b.substitute(_SEAM_MAPPING) ** 2, Word.parse("b^2 c^-1 b^3 c^-1 b")),
         (lambda: aba**0, Word()),
         (lambda: ca.substitute(_SEAM_MAPPING), Word.parse("b^-1 a^-1")),
+        # the edges of the fast paths: a seam that merges, one that cancels a run and
+        # stops, one that cancels everything, and one-run powers at n = 0 and a huge n
+        (lambda: a2 * a3, Word.parse("a^5")),
+        (lambda: ab * bc, Word.parse("a c")),
+        (lambda: four * four.inverse(), Word()),
+        (lambda: a2 * a2.inverse(), Word()),
+        (lambda: a3**0, Word()),
+        (lambda: a3 ** 10**30, word(("a", 3 * 10**30))),
     ]
 
 
