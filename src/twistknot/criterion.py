@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .presentations import Presentation
 from .twisted_torus import KnotGroupModel, TwistParams, closed_form
-from .words import Generator, Record, Word, is_integer, is_positive_excluding
+from .words import Generator, Record, Word, is_conjugate, is_integer, is_positive_excluding
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -26,7 +26,8 @@ if TYPE_CHECKING:
 
 #: shape matching expands the relator into single letters and indexes every
 #: rotation; past this many letters it is refused (``check-slope`` at the cap,
-#: u = 0: about 3.5 s and 160 MiB on a 2-vCPU host)
+#: u = 0: about 3.5 s and 160 MiB on a 2-vCPU host).  ``minimal_integer_bound``
+#: never reaches it: it checks the closed-form witness, run by run, instead
 MAX_SHAPE_LETTERS = 10**5
 
 
@@ -356,31 +357,54 @@ class CriterionReport(Record):
         }
 
 
-def _family_setup(params: TwistParams, use: str) -> tuple[KnotGroupModel, Optional[ITShape], int]:
-    """Closed-form model, its first meridian-rooted shape, and its bound ``s + t``.
-
-    Only decompositions whose a-role is the meridian generator qualify, since
-    the criterion reads the longitude against that generator.  ``_best_cut``
-    finds the first without listing the others: cuts are ranked by their
-    integer key ``(|w1| + |w2|, m, n, r, k)``, read from positions, and
-    conjugators are built only for a cut whose integer key is at most the best
-    so far.  Positivity is judged on the block form of ``w`` (negative block
-    exponent exactly when u <= -2); for v >= 1 and u = -2 free reduction
-    happens to cancel the inverse letters, so the reduced word would be a
-    weaker witness.
-    """
+def _family_setup(params: TwistParams, use: str) -> tuple[KnotGroupModel, int]:
+    """Closed-form model and its bound ``s + t``; ``use`` is checked here."""
     model = closed_form(params)
-    bound = model.s_value(use) + model.t
-    # closed_form presents the group on (a, b) with meridian a
-    p = model.presentation
-    return model, _best_cut(_shape_core(p), *p.generators), bound
+    return model, model.s_value(use) + model.t
+
+
+def _family_witness(model: KnotGroupModel) -> Optional[ITShape]:
+    """The closed form's meridian-rooted shape, returned only if it checks out.
+
+    The shape is ``m = n = k = 1``, ``r = -(u+1)``, ``w1 = (a^-1 b^-1)^v``,
+    ``w2 = (b^-1 a^-1)^v``, so it rebuilds ``(ba)^-v a (ba)^v b^(u+1)
+    (ab)^v a (ab)^-v b^-(u+2)``.  As ``(ba)^(v+1) = b (ab)^v a``, the relator
+    ``(ba)^(v+1) a (ba)^-(v+1) b^-(u+1) (ba)^-v a (ba)^v b^u`` rotated to start
+    at ``b^u`` is ``b^(u+1) (ab)^v a (ab)^-v b^-(u+2) (ba)^-v a (ba)^v``: a
+    rotation of the rebuilt word, for every u and v.  The conjugacy check
+    keeps that identity honest at run time; it walks runs, not letters, so it
+    costs O(runs) whatever ``u`` is.  ``None`` when the check fails.
+    """
+    a, b = model.presentation.generators
+    relator = model.presentation.relators[0]
+    v = model.params.v
+    shape = ITShape(
+        a, b, 1, 1, -(model.params.u + 1), 1,
+        Word(((a, -1), (b, -1))) ** v, Word(((b, -1), (a, -1))) ** v,
+    )
+    rebuilt = shape.reconstruct()
+    if is_conjugate(rebuilt, relator) or is_conjugate(rebuilt, relator.inverse()):
+        return shape
+    return None
 
 
 def check_family_slope(
     params: TwistParams, slope: Slope, use: str = "paper"
 ) -> CriterionReport:
-    """Match the family member's relator and decide one slope."""
-    model, shape, bound = _family_setup(params, use)
+    """Match the family member's relator and decide one slope.
+
+    The report names the first meridian-rooted shape in ``match_it_shape``
+    order.  Only decompositions whose a-role is the meridian generator
+    qualify, since the criterion reads the longitude against that generator.
+    ``_best_cut`` finds the first without listing the others: cuts are ranked
+    by their integer key ``(|w1| + |w2|, m, n, r, k)``, read from positions,
+    and conjugators are built only for a cut whose integer key is at most the
+    best so far.
+    """
+    model, bound = _family_setup(params, use)
+    # closed_form presents the group on (a, b) with meridian a
+    p = model.presentation
+    shape = _best_cut(_shape_core(p), *p.generators)
     return CriterionReport(
         params=params,
         slope=slope,
@@ -402,13 +426,23 @@ def minimal_integer_bound(params: TwistParams, use: str = "paper") -> int:
     """Smallest integer slope certified non-left-orderable for this member.
 
     The verdict is monotone in the slope, so the answer is the bound ``s + t``
-    itself whenever the criterion applies at all.
+    itself whenever the criterion applies at all, and any one decomposition
+    of the relator serves: the closed form's (``_family_witness``), checked in
+    O(runs).  No cut is searched and the relator is never expanded into
+    letters.  A witness that failed its check would end in "no certified
+    integer slope", never in a wrong bound.
+
+    Positivity is judged on the block form of ``w`` (negative block exponent
+    exactly when u <= -2), before any shape is built; for v >= 1 and u = -2
+    free reduction happens to cancel the inverse letters, so the reduced word
+    would be a weaker witness.
     """
-    model, shape, bound = _family_setup(params, use)
+    model, bound = _family_setup(params, use)
     if not model.w_blocks_positive:
         raise CriterionError(
             f"the longitude's block word is not positive for u = {params.u} <= -2"
         )
+    shape = _family_witness(model)
     if decide(shape, model.w_blocks_positive, bound, Slope(bound, 1)).kind != "GuaranteedNonLO":
         raise CriterionError("no certified integer slope found near the bound")
     return bound

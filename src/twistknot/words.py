@@ -429,6 +429,11 @@ def word(*pairs: tuple[str, int]) -> Word:
     return Word(pairs)
 
 
+def text_runs(text: str) -> int:
+    """Runs of a word written by ``Word.as_text``: one token per run, none for ``1``."""
+    return 0 if text == "1" else text.count(" ") + 1
+
+
 def is_conjugate(x: Word, y: Word) -> bool:
     """Free-group conjugacy: equal cyclic run lists (see ``_cyclic``) up to
     rotation.

@@ -12,10 +12,10 @@ calculus (``alexander_polynomial``), not from the paper's formulas.
 smallest margin ``bound - (deg Δ - 1)`` over the longitudes with a bound
 (``None`` when neither has one, in which case nothing is checked).
 
-Tier-1 runs it on a seeded sample of ``BOX`` (``test_criterion.py``).  Run as
-a script, it checks every member of the box and prints the failures, the
-member counts, the smallest margin and the wall time; it exits 1 if any
-member failed:
+Tier-1 runs it on a seeded sample of ``SAMPLE_BOX`` and the corners of
+``BOX`` (``test_criterion.py``).  Run as a script, it checks every member of
+the box and prints the failures, the member counts, the smallest margin and
+the wall time; it exits 1 if any member failed:
 
     PYTHONPATH=src python tests/sweep_lspace.py
 """
@@ -30,8 +30,11 @@ from twistknot.criterion import CriterionError, minimal_integer_bound
 from twistknot.presentations import alexander_polynomial
 from twistknot.twisted_torus import TwistParams, closed_form
 
-#: the parameter box: u in [-12, 30], v in [0, 6]
-BOX = ((-12, 30), (0, 6))
+#: the parameter box: u in [-12, 300], v in [0, 20]
+BOX = ((-12, 300), (0, 20))
+#: tier-1's sample is drawn from this corner of the box, where the members
+#: without a bound (u <= -2) and the small ones (u in {-1, 0}) are dense
+SAMPLE_BOX = ((-12, 30), (0, 6))
 
 
 def check_member(u: int, v: int) -> tuple[list[str], int | None]:
@@ -56,14 +59,16 @@ def check_member(u: int, v: int) -> tuple[list[str], int | None]:
     return failures, min(bounds.values()) - floor
 
 
-def members() -> list[tuple[int, int]]:
-    (umin, umax), (vmin, vmax) = BOX
+def members(box=BOX) -> list[tuple[int, int]]:
+    (umin, umax), (vmin, vmax) = box
     return [(u, v) for u in range(umin, umax + 1) for v in range(vmin, vmax + 1)]
 
 
 def sample(seed: int, size: int) -> list[tuple[int, int]]:
-    """``size`` members of the box drawn with ``seed``."""
-    return random.Random(seed).sample(members(), size)
+    """``size`` members of ``SAMPLE_BOX`` drawn with ``seed``, then the corners of ``BOX``."""
+    (umin, umax), (vmin, vmax) = BOX
+    corners = [(u, v) for u in (umin, umax) for v in (vmin, vmax)]
+    return random.Random(seed).sample(members(SAMPLE_BOX), size) + corners
 
 
 def main() -> int:

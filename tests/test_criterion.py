@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -10,6 +11,7 @@ import pytest
 from conftest import conjugate_relator, invert_relator, random_word
 from sweep_lspace import check_member, sample
 from twistknot import criterion
+from twistknot.cli import main
 from twistknot.criterion import (
     CriterionError,
     ITShape,
@@ -21,7 +23,7 @@ from twistknot.criterion import (
     minimal_integer_bound,
 )
 from twistknot.presentations import Presentation
-from twistknot.twisted_torus import TwistParams, closed_form
+from twistknot.twisted_torus import KnotGroupModel, TwistParams, closed_form
 from twistknot.words import Generator, Word, is_conjugate, word
 
 A = Generator("a")
@@ -143,7 +145,8 @@ def test_match_refuses_an_oversized_relator_before_expanding_it(monkeypatch):
 
 
 def test_family_refuses_an_oversized_relator_before_expanding_it(monkeypatch):
-    # check-slope and bound pass the same door as match_it_shape
+    # check-slope passes the same door as match_it_shape; bound checks the
+    # closed-form witness run by run and never reaches the door
     params = TwistParams(0, 1)
     monkeypatch.setattr(criterion, "MAX_SHAPE_LETTERS", 12)
 
@@ -151,12 +154,9 @@ def test_family_refuses_an_oversized_relator_before_expanding_it(monkeypatch):
         raise AssertionError("a refused relator was expanded into letters")
 
     monkeypatch.setattr(Word, "letters", unreachable)
-    for call in (
-        lambda: check_family_slope(params, Slope(5, 1)),
-        lambda: minimal_integer_bound(params),
-    ):
-        with pytest.raises(CriterionError, match="relator has 13 letters; shape matching takes at most 12"):
-            call()
+    with pytest.raises(CriterionError, match="relator has 13 letters; shape matching takes at most 12"):
+        check_family_slope(params, Slope(5, 1))
+    assert minimal_integer_bound(params) == 15
 
 
 def _pinned_cases():
@@ -432,6 +432,69 @@ def test_minimal_integer_bound_rejects_nonpositive_words():
         minimal_integer_bound(TwistParams(-2, 0))
     with pytest.raises(CriterionError, match="not positive"):
         minimal_integer_bound(TwistParams(-3, 2))
+
+
+def _formula_members():
+    """The members of ``test_minimal_integer_bound_formulas``."""
+    members = [(-1, v) for v in range(11)]
+    members += [(u, v) for u in (0, 1, 2, 3) for v in range(5)]
+    return members + [(2, 0), (2, 2)]
+
+
+def _formula_bound(u: int, v: int, use: str) -> int:
+    return (2 if use == "paper" else 4) * u + 3 * (3 * v + 2)
+
+
+def test_family_witness_checks_out_on_the_box():
+    # the closed form's shape rebuilds the relator on every member with u >= -1
+    for u in range(-1, 301):
+        for v in range(21):
+            assert criterion._family_witness(closed_form(TwistParams(u, v))) is not None, (u, v)
+
+
+def test_family_witness_refuses_a_shape_that_does_not_rebuild_the_relator(monkeypatch):
+    # the witness is read from u and v; under another member's relator it
+    # fails its check, and bound refuses rather than print a bound
+    model = closed_form(TwistParams(3, 1))
+    other = closed_form(TwistParams(4, 1)).presentation
+    wrong = KnotGroupModel(**{**model._asdict(), "presentation": other})
+    assert criterion._family_witness(wrong) is None
+    monkeypatch.setattr(criterion, "closed_form", lambda params: wrong)
+    with pytest.raises(CriterionError, match="no certified integer slope"):
+        minimal_integer_bound(TwistParams(3, 1))
+
+
+def test_family_witness_is_the_first_shape_but_at_one_member():
+    # at (-1, 0) the first shape is m = 0, n = 2, r = 0, k = 1, w1 = w2 = 1;
+    # the witness is valid there, just not first
+    for u in range(-1, 21):
+        for v in range(5):
+            params = TwistParams(u, v)
+            first = check_family_slope(params, Slope(0, 1)).shape
+            same = criterion._family_witness(closed_form(params)) == first
+            assert same != ((u, v) == (-1, 0)), (u, v)
+
+
+def test_bound_enters_no_search(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("bound searched the cuts")
+
+    monkeypatch.setattr(criterion, "_cuts", unreachable)
+    monkeypatch.setattr(Word, "letters", unreachable)
+    for u, v in _formula_members():
+        for use in ("paper", "corrected"):
+            assert minimal_integer_bound(TwistParams(u, v), use) == _formula_bound(u, v, use)
+
+
+def test_bound_answers_a_huge_u_at_once(capsys):
+    # b a b^-1000002 a b^1000000: 5 runs, 2,000,005 letters, 20 times the shape cap
+    start = time.process_time()
+    assert main(["bound", "--u", str(10**6), "--v", "0"]) == 0
+    assert time.process_time() - start < 1
+    assert capsys.readouterr() == (f"{_formula_bound(10**6, 0, 'paper')}\n", "")
+    assert main(["bound", "--u", str(-10**6), "--v", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "not positive" in err
 
 
 def test_report_json_shape():

@@ -210,6 +210,12 @@ def test_parse_inverts_as_text(pairs):
     assert Word.parse(w.as_text()) == w
 
 
+@given(_RUNS)
+def test_text_runs_counts_the_runs_as_text_writes(pairs):
+    w = word(*pairs)
+    assert words.text_runs(w.as_text()) == len(w.runs)
+
+
 def test_parse_examples():
     assert Word.parse("b a b^-2 a") == word(("b", 1), ("a", 1), ("b", -2), ("a", 1))
     assert Word.parse("1").is_identity
