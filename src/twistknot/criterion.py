@@ -18,7 +18,15 @@ from typing import TYPE_CHECKING, Optional
 
 from .presentations import Presentation
 from .twisted_torus import KnotGroupModel, TwistParams, closed_form
-from .words import Generator, Record, Word, is_conjugate, is_integer, is_positive_excluding
+from .words import (
+    MAX_CONJUGATE_RUNS,
+    Generator,
+    Record,
+    Word,
+    is_conjugate,
+    is_integer,
+    is_positive_excluding,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -432,16 +440,24 @@ def minimal_integer_bound(params: TwistParams, use: str = "paper") -> int:
     letters.  A witness that failed its check would end in "no certified
     integer slope", never in a wrong bound.
 
-    Positivity is judged on the block form of ``w`` (negative block exponent
-    exactly when u <= -2), before any shape is built; for v >= 1 and u = -2
+    Two refusals come before anything is built.  Positivity is judged on the
+    block form of ``w``, whose block exponent is negative exactly when
+    u <= -2 (``KnotGroupModel.w_blocks_positive``); for v >= 1 and u = -2
     free reduction happens to cancel the inverse letters, so the reduced word
-    would be a weaker witness.
+    would be a weaker witness.  And the witness check compares the relator's
+    cyclic run list, of ``8v + 4`` runs (``8v + 2`` at u = -1), which
+    ``is_conjugate`` takes only up to ``MAX_CONJUGATE_RUNS``.
     """
-    model, bound = _family_setup(params, use)
-    if not model.w_blocks_positive:
+    u, v = params.u, params.v
+    if u <= -2:
+        raise CriterionError(f"the longitude's block word is not positive for u = {u} <= -2")
+    runs = 8 * v + (2 if u == -1 else 4)
+    if runs > MAX_CONJUGATE_RUNS:
         raise CriterionError(
-            f"the longitude's block word is not positive for u = {params.u} <= -2"
+            f"v = {v} is too large: the relator's cyclic run list would hold {runs} runs,"
+            f" over the conjugacy limit of {MAX_CONJUGATE_RUNS}"
         )
+    model, bound = _family_setup(params, use)
     shape = _family_witness(model)
     if decide(shape, model.w_blocks_positive, bound, Slope(bound, 1)).kind != "GuaranteedNonLO":
         raise CriterionError("no certified integer slope found near the bound")

@@ -201,8 +201,13 @@ class HomologySummary(Record):
 
 
 def _abelianization_snf(p: Presentation):
-    """SNF data of the transposed relator matrix (columns index relators)."""
-    columns = [[rel.exponent_sum(g) for rel in p.relators] for g in p.generators]
+    """SNF data of the transposed relator matrix (columns index relators),
+    read in one pass over each relator's runs."""
+    row_of = {g: i for i, g in enumerate(p.generators)}
+    columns = [[0] * len(p.relators) for _ in p.generators]
+    for j, rel in enumerate(p.relators):
+        for g, e in rel.runs:
+            columns[row_of[g]][j] += e
     diag, u, _ = smith_normal_form(columns)
     rank = sum(1 for d in diag if d)
     return diag, u, rank
@@ -221,17 +226,21 @@ def h1_classes(p: Presentation) -> Callable[[Word], tuple[int, ...]]:
     Classes are coordinates in the Smith normal form basis: torsion
     coordinates (reduced into ``[0, d)``) come first, matching
     ``HomologySummary.torsion_orders``; free coordinates follow.  A preferred
-    longitude of a knot in the 3-sphere must map to all zeros.
+    longitude of a knot in the 3-sphere must map to all zeros.  A word's
+    exponent sums are read in one pass over its runs.
     """
     diag, u, rank = _abelianization_snf(p)
     ngen = len(p.generators)
+    index = {g: i for i, g in enumerate(p.generators)}
 
     def classify(x: Word) -> tuple[int, ...]:
-        undeclared = x.generator_set() - set(p.generators)
-        if undeclared:
-            names = ", ".join(sorted(g.name for g in undeclared))
-            raise PresentationError(f"word uses undeclared generator(s): {names}")
-        exps = [x.exponent_sum(g) for g in p.generators]
+        exps = [0] * ngen
+        try:
+            for g, e in x.runs:
+                exps[index[g]] += e
+        except KeyError:
+            names = ", ".join(sorted(g.name for g in x.generator_set() - index.keys()))
+            raise PresentationError(f"word uses undeclared generator(s): {names}") from None
         image = [sum(u[i][j] * exps[j] for j in range(ngen)) for i in range(ngen)]
         torsion_coords = [image[i] % diag[i] for i in range(rank) if diag[i] > 1]
         return tuple(torsion_coords + image[rank:])

@@ -22,10 +22,12 @@ from typing import Mapping
 
 from .presentations import Presentation, PresentationError, h1_classes, tietze_eliminate
 from .wirtinger import (
+    ALPHA_BETA_GAMMA,
     DELTA_ELIMINATIONS,
     builtin_link_L,
     add_twist_relations,
     peripheral_system,
+    twist_fillings,
     wirtinger_presentation,
 )
 from .words import Record, Word, is_conjugate, is_integer, word
@@ -41,9 +43,8 @@ class PipelineError(RuntimeError):
 
 _A, _B, _G, _H = (word((name, 1)) for name in "abgh")
 _BA = _B * _A
-#: the stage-1 forward images of ``g`` and ``h``
+#: the stage-1 forward image of ``g``; that of ``h`` is ``ALPHA_BETA_GAMMA``
 _XI_GAMMA = word(("xi", 1), ("gamma", -1))
-_ALPHA_BETA_GAMMA = word(("alpha", 1), ("beta", 1), ("gamma", 1))
 
 
 class TwistParams(Record):
@@ -114,7 +115,7 @@ class SubstitutionChain(Record):
         ):
             for gen, image in there.items():
                 got = image.substitute(back)
-                if got != Word(((gen, 1),)):
+                if got.runs != ((gen, 1),):
                     raise ValueError(f"{label} does not invert on {gen}: {got.as_text()}")
 
 
@@ -136,7 +137,7 @@ def _stage1_backward(params: TwistParams, g: Word, h: Word) -> dict[str, Word]:
 def substitution_chain(params: TwistParams) -> SubstitutionChain:
     v = params.v
     g, h = _G, _H
-    stage1_forward = {"g": _XI_GAMMA, "h": _ALPHA_BETA_GAMMA}
+    stage1_forward = {"g": _XI_GAMMA, "h": ALPHA_BETA_GAMMA}
     stage2_forward = {
         "a": g.inverse() * h ** (v + 1),
         "b": h ** (-v) * g,
@@ -287,8 +288,8 @@ class Derivation(Record):
 
     chain: SubstitutionChain
     #: stage-1 images of the seven relators of the filled link presentation:
-    #: five link relators, then the two twist fillings; 2 and 3 are the two
-    #: surviving equations, 6 is the twist residue
+    #: five link relators, then the two twist fillings of ``twist_fillings``;
+    #: 2 and 3 are the two surviving equations, 6 is the twist residue
     images: tuple[Word, ...]
     relator_gh: Word
     relator_ab: Word
@@ -299,6 +300,13 @@ class Derivation(Record):
 
 def derive_intermediates(params: TwistParams) -> Derivation:
     """Run the derivation from the built-in link for one parameter pair.
+
+    The five link relators of the filled presentation are substituted run
+    by run.  Each twist filling ``head base^n`` is a power, and a
+    homomorphism sends it to ``image(head) image(base)^n`` (the factored
+    forms of ``twist_fillings``): its image costs the runs of that power,
+    where substituting the stored relator joins ``|n|`` images that mostly
+    cancel (at ``v = 0`` the lower one maps to the one run ``g^(2u)``).
 
     The ``a, b`` words come from one map, stage 2 after stage 1: the stage-1
     images of the link generators built from the ``a, b`` words of ``g`` and
@@ -316,7 +324,10 @@ def derive_intermediates(params: TwistParams) -> Derivation:
     chain = substitution_chain(params)
     phi1, phi2 = chain.stage1_backward, chain.stage2_backward
     composite = _stage1_backward(params, phi2["g"], phi2["h"])
-    images = tuple(rel.substitute(phi1) for rel in filled.relators)
+    images = tuple(rel.substitute(phi1) for rel in filled.relators[:5]) + tuple(
+        head.substitute(phi1) * base.substitute(phi1) ** n
+        for head, base, n in twist_fillings(params.u, params.v)
+    )
     # the strand component's first arc alpha is its meridian
     meridian_ab = composite["alpha"]
     long_ab = l0.substitute(composite)
@@ -417,10 +428,12 @@ def verify_proof(params: TwistParams) -> ProofReport:
     def add(name: str, passed: bool, **details) -> None:
         checks.append(ProofCheck(len(checks) + 1, name, bool(passed), details))
 
+    psi = phi1["psi"]
+
     def psi_rotated(image: Word, letter: str) -> Word:
         # the paper displays link relators 3 and 4 rotated to start at psi^-1
         # and conjugated by psi; both are stored starting with psi letter^-1
-        return image.conjugate(word(("psi", 1), (letter, 1), ("psi", -1)).substitute(phi1))
+        return image.conjugate(psi * phi1[letter] * psi.inverse())
 
     img1, img2, eq1, eq2, img5 = d.images[:5]
     add("relator-1-maps-to-identity", img1.is_identity, image=img1.as_text())

@@ -216,20 +216,32 @@ def builtin_link_L() -> LinkDiagram:
     )
 
 
-def add_twist_relations(p: Presentation, u: int, v: int) -> Presentation:
-    """Append the two twist-region surgery relators.
+_XI, _PSI = word(("xi", 1)), word(("psi", 1))
+_ALPHA_BETA = word(("alpha", 1), ("beta", 1))
+ALPHA_BETA_GAMMA = _ALPHA_BETA * word(("gamma", 1))
 
-    Filling the upper circle adds ``xi (alpha beta gamma)^(-v-1)``; filling the
-    lower circle adds ``psi (alpha beta)^u``.  ``PresentationError`` unless
-    ``v >= 0`` and ``p`` declares every generator the two relators use.
+
+def twist_fillings(u: int, v: int) -> tuple[tuple[Word, Word, int], ...]:
+    """The two twist-region surgery relators, each as ``(head, base, n)`` for
+    the relator ``head base^n``.
+
+    Filling the upper circle gives ``xi (alpha beta gamma)^(-v-1)``; filling
+    the lower circle gives ``psi (alpha beta)^u``.  A homomorphism sends each
+    to ``image(head) image(base)^n``, so its image costs the runs of that
+    power, not one step per run of the relator.
+    """
+    return (_XI, ALPHA_BETA_GAMMA, -v - 1), (_PSI, _ALPHA_BETA, u)
+
+
+def add_twist_relations(p: Presentation, u: int, v: int) -> Presentation:
+    """Append the two twist-region surgery relators of ``twist_fillings``.
+
+    ``PresentationError`` unless ``v >= 0`` and ``p`` declares every
+    generator the two relators use.
     """
     if v < 0:
         raise PresentationError(f"twist parameter v must be >= 0, got {v}")
-    abc = word(("alpha", 1), ("beta", 1), ("gamma", 1))
-    ab = word(("alpha", 1), ("beta", 1))
-    upper = word(("xi", 1)) * abc ** (-v - 1)
-    lower = word(("psi", 1)) * ab**u
-    return add_relators(p, [upper, lower])
+    return add_relators(p, [head * base**n for head, base, n in twist_fillings(u, v)])
 
 
 # -- serialization -----------------------------------------------------------

@@ -144,18 +144,22 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def digest(calls: list[list[str]]) -> str:
+    """The sha256 of ``repr((argv, exit code, stdout, stderr))`` for each call, in order."""
+    hasher = hashlib.sha256()
+    for call in calls:
+        hasher.update(repr((call, *run(call))).encode())
+    return hasher.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Digest the CLI's output over fixed grids.")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless both digests equal the recorded ones")
     check = parser.parse_args(argv).check
     os.environ["COLUMNS"] = "80"
-    digests = {}
-    hasher = hashlib.sha256()
     calls = grid()
-    for call in calls:
-        hasher.update(repr((call, *run(call))).encode())
-    digests["calls"] = hasher.hexdigest()
+    digests = {"calls": digest(calls)}
     print(f"{len(calls)} calls, sha256 {digests['calls']}")
     hasher = hashlib.sha256()
     surface = surface_grid()

@@ -12,6 +12,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import digest_cli
 from twistknot import cli, criterion, presentations
 from twistknot.cli import build_parser, main
 from twistknot.presentations import Presentation
@@ -643,6 +644,13 @@ def test_golden_outputs(capsys):
     for line, code, digest in GOLDEN:
         got, out, _ = run(capsys, *line.split())
         assert (got, hashlib.sha256(out.encode()).hexdigest()[:16]) == (code, digest), line
+
+
+def test_grid_output_matches_the_recorded_digest():
+    # the byte-identity guard of tests/digest_cli.py: exit code, stdout and
+    # stderr of 3,369 in-process calls; its help/usage digest stays a script
+    # check, since argparse's help text changes between Python versions
+    assert digest_cli.digest(digest_cli.grid()) == digest_cli.RECORDED["calls"]
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import conjugate_relator, invert_relator, random_word
 from sweep_lspace import check_member, sample
-from twistknot import criterion
+from twistknot import criterion, twisted_torus, words
 from twistknot.cli import main
 from twistknot.criterion import (
     CriterionError,
@@ -495,6 +495,42 @@ def test_bound_answers_a_huge_u_at_once(capsys):
     assert main(["bound", "--u", str(-10**6), "--v", "0"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and "not positive" in err
+
+
+def _compared_runs(word: Word) -> int:
+    """The length of the cyclic run list ``is_conjugate`` compares for ``word``."""
+    return len(words._cyclic(word.cyclic_reduce()[0].runs))
+
+
+def test_bound_counts_the_compared_runs_before_building(monkeypatch):
+    # the relator's cyclic run list holds 8v + 4 runs, 8v + 2 at u = -1; bound
+    # answers at a conjugacy limit of exactly that many and refuses one below
+    for u in range(-1, 41):
+        for v in range(31):
+            params = TwistParams(u, v)
+            model = closed_form(params)
+            runs = _compared_runs(model.presentation.relators[0])
+            assert runs == 8 * v + (2 if u == -1 else 4), (u, v)
+            assert _compared_runs(criterion._family_witness(model).reconstruct()) == runs
+            monkeypatch.setattr(criterion, "MAX_CONJUGATE_RUNS", runs)
+            assert minimal_integer_bound(params) == _formula_bound(u, v, "paper")
+            monkeypatch.setattr(criterion, "MAX_CONJUGATE_RUNS", runs - 1)
+            with pytest.raises(CriterionError, match=f"v = {v} is too large"):
+                minimal_integer_bound(params)
+
+
+def test_bound_refuses_past_the_conjugacy_limit_before_building(monkeypatch, capsys):
+    # 8 * 139264 + 2 > 1114111 = words.MAX_CONJUGATE_RUNS >= 8 * 139263 + 4
+    def unreachable(params):
+        raise AssertionError("bound built the closed form")
+
+    monkeypatch.setattr(criterion, "closed_form", unreachable)
+    monkeypatch.setattr(twisted_torus, "closed_form", unreachable)
+    for u in (-1, 0, 7):
+        assert main(["bound", "--u", str(u), "--v", "139264"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert "v = 139264 is too large" in err and "limit of 1114111" in err
 
 
 def test_report_json_shape():

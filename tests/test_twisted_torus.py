@@ -33,7 +33,8 @@ from twistknot.twisted_torus import (
     verify_proof,
     w_template,
 )
-from twistknot.words import is_conjugate, is_positive_excluding, word
+from twistknot.wirtinger import add_twist_relations
+from twistknot.words import Word, is_conjugate, is_positive_excluding, word
 
 
 def test_params_validation():
@@ -267,6 +268,36 @@ def test_derivation_cost_follows_its_output_runs():
     derive_from_diagram(params)
     verify_proof(params)
     assert time.process_time() - start < 5
+
+
+def test_twist_filling_images_equal_the_substituted_relators():
+    # the reference is the stored relator substituted run by run
+    prefix, _ = _link_prefix()
+    members = list(itertools.product(range(-40, 41), range(13)))
+    for u, v in members + [(20000, 0), (-20000, 0), (3, 5000)]:
+        d = derive_intermediates(TwistParams(u, v))
+        phi1 = d.chain.stage1_backward
+        stored = add_twist_relations(prefix, u, v).relators[5:]
+        assert d.images[5:] == tuple(rel.substitute(phi1) for rel in stored), (u, v)
+
+
+def test_derivation_maps_a_twist_filling_through_its_base(monkeypatch):
+    # at (10^5, 0) the stored lower twist relator psi (alpha beta)^u holds
+    # 200,001 runs; the derivation substitutes no word of more than 8 runs
+    _link_prefix()
+    real = Word.substitute
+
+    def short_only(self, mapping):
+        if len(self.runs) > 8:
+            raise AssertionError(f"substituted a word of {len(self.runs)} runs")
+        return real(self, mapping)
+
+    monkeypatch.setattr(Word, "substitute", short_only)
+    params = TwistParams(10**5, 0)
+    model = derive_from_diagram(params)
+    assert all(check.passed for check in verify_proof(params).checks[:8])
+    derived, stated = model.presentation.relators[0], closed_form(params).presentation.relators[0]
+    assert is_conjugate(derived, stated) or is_conjugate(derived, stated.inverse())
 
 
 def test_link_prefix_is_pinned():
