@@ -18,9 +18,9 @@ from . import __version__
 from .coset_enum import DEFAULT_MAX_COSETS, surgered_presentation, todd_coxeter
 from .criterion import Slope, check_family_slope, minimal_integer_bound
 from .presentations import Presentation, alexander_polynomial, homology
-from .twisted_torus import ProofCheck, TwistParams, closed_form, derive_from_diagram, verify_proof
+from .twisted_torus import TwistParams, closed_form, derive_from_diagram, verify_proof
 from .wirtinger import builtin_link_L, diagram_from_json, wirtinger_presentation
-from .words import Record, Word, text_runs
+from .words import Record, Word
 
 #: ``verify-proof --sweep``'s parameter box flags and their defaults
 _SWEEP_BOX = {"umin": -3, "umax": 3, "vmin": 0, "vmax": 4}
@@ -107,13 +107,12 @@ def _word_runs(result: Any) -> int:
     """Runs held by the words of a command's result, counted before it becomes JSON."""
     if isinstance(result, Word):
         return len(result.runs)
-    if isinstance(result, ProofCheck):
-        # a proof check holds its words as text in ``details``
-        return sum(text_runs(text) for text in result.details.values() if isinstance(text, str))
     if isinstance(result, Record):
         return sum(map(_word_runs, result._values()))
     if isinstance(result, tuple):
         return sum(map(_word_runs, result))
+    if isinstance(result, dict):  # a proof check's ``details``
+        return sum(map(_word_runs, result.values()))
     return 0
 
 

@@ -2,17 +2,18 @@
 
 ``closed_form`` builds the two-generator knot group model directly from the
 parametric templates.  ``derive_intermediates`` runs the derivation from the
-built-in link (Wirtinger presentation, arc elimination, twist-region filling
-and two changes of generating set) and names its intermediates without
-judging them.  ``derive_from_diagram`` turns them into the same model,
-raising at the first stage that fails; ``verify_proof`` checks them against
-the paper's stated forms and reports which hold.
+built-in link (Wirtinger presentation, arc elimination, the images of the two
+twist-region fillings and two changes of generating set) and names its
+intermediates without judging them.  ``derive_from_diagram`` turns them into
+the same model, raising at the first stage that fails; ``verify_proof``
+checks them against the paper's stated forms and reports which hold, keeping
+the words it compares as ``Word``s until ``to_json`` writes them as text.
 
-The second twist relator is stored verbatim as ``psi (alpha beta)^u`` while
-the change of generators substitutes ``psi -> (alpha beta)^u``, matching the
-surgery-slope reading of the twist.  The substitution therefore does not kill
-the stored relator: its image ``(h^-v g)^(2u)`` is kept as ``twist_residue``
-on the derived model rather than silently discarded.
+The lower twist filling reads ``psi (alpha beta)^u`` while the change of
+generators substitutes ``psi -> (alpha beta)^u``, matching the surgery-slope
+reading of the twist.  The substitution therefore does not kill that
+filling: its image ``(h^-v g)^(2u)`` is kept as ``twist_residue`` on the
+derived model rather than silently discarded.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .wirtinger import (
     ALPHA_BETA_GAMMA,
     DELTA_ELIMINATIONS,
     builtin_link_L,
-    add_twist_relations,
     peripheral_system,
     twist_fillings,
     wirtinger_presentation,
@@ -287,8 +287,8 @@ class Derivation(Record):
     """
 
     chain: SubstitutionChain
-    #: stage-1 images of the seven relators of the filled link presentation:
-    #: five link relators, then the two twist fillings of ``twist_fillings``;
+    #: stage-1 images of seven relators: the five link relators of
+    #: ``_link_prefix``, then the two twist fillings of ``twist_fillings``;
     #: 2 and 3 are the two surviving equations, 6 is the twist residue
     images: tuple[Word, ...]
     relator_gh: Word
@@ -301,12 +301,13 @@ class Derivation(Record):
 def derive_intermediates(params: TwistParams) -> Derivation:
     """Run the derivation from the built-in link for one parameter pair.
 
-    The five link relators of the filled presentation are substituted run
-    by run.  Each twist filling ``head base^n`` is a power, and a
-    homomorphism sends it to ``image(head) image(base)^n`` (the factored
-    forms of ``twist_fillings``): its image costs the runs of that power,
-    where substituting the stored relator joins ``|n|`` images that mostly
-    cancel (at ``v = 0`` the lower one maps to the one run ``g^(2u)``).
+    The five link relators of ``_link_prefix`` are substituted run by run.
+    The twist fillings are never built as relators: each filling
+    ``head base^n`` is a power, and a homomorphism sends it to
+    ``image(head) image(base)^n`` (the factored forms of ``twist_fillings``).
+    Its image costs the runs of that power, where the stored relator alone
+    holds ``|n|`` runs of ``base`` (at ``v = 0`` the lower filling maps to
+    the one run ``g^(2u)``).
 
     The ``a, b`` words come from one map, stage 2 after stage 1: the stage-1
     images of the link generators built from the ``a, b`` words of ``g`` and
@@ -317,14 +318,10 @@ def derive_intermediates(params: TwistParams) -> Derivation:
     cancel.
     """
     prefix, l0 = _link_prefix()
-    try:
-        filled = add_twist_relations(prefix, params.u, params.v)
-    except PresentationError as exc:
-        raise PipelineError("add-twist-relations", str(exc)) from exc
     chain = substitution_chain(params)
     phi1, phi2 = chain.stage1_backward, chain.stage2_backward
     composite = _stage1_backward(params, phi2["g"], phi2["h"])
-    images = tuple(rel.substitute(phi1) for rel in filled.relators[:5]) + tuple(
+    images = tuple(rel.substitute(phi1) for rel in prefix.relators) + tuple(
         head.substitute(phi1) * base.substitute(phi1) ** n
         for head, base, n in twist_fillings(params.u, params.v)
     )
@@ -338,7 +335,7 @@ def derive_intermediates(params: TwistParams) -> Derivation:
         _A ** (-1) * (block.inverse() * long_ab * block)
     )
     relator_gh = images[2].inverse()
-    relator_ab = filled.relators[2].substitute(composite).inverse()
+    relator_ab = prefix.relators[2].substitute(composite).inverse()
     return Derivation(
         chain, images, relator_gh, relator_ab, meridian_ab, long_ab, longitude_paper
     )
@@ -378,13 +375,16 @@ def derive_from_diagram(params: TwistParams) -> KnotGroupModel:
 
 
 class ProofCheck(Record):
+    """One replayed step; ``details`` maps names to ``Word``s and integers."""
+
     index: int
     name: str
     passed: bool
     details: dict
 
     def to_json(self) -> dict:
-        return {**self._asdict(), "details": dict(self.details)}
+        details = {k: v.as_text() if isinstance(v, Word) else v for k, v in self.details.items()}
+        return {**self._asdict(), "details": details}
 
 
 class ProofReport(Record):
@@ -436,8 +436,8 @@ def verify_proof(params: TwistParams) -> ProofReport:
         return image.conjugate(psi * phi1[letter] * psi.inverse())
 
     img1, img2, eq1, eq2, img5 = d.images[:5]
-    add("relator-1-maps-to-identity", img1.is_identity, image=img1.as_text())
-    add("relator-2-maps-to-identity", img2.is_identity, image=img2.as_text())
+    add("relator-1-maps-to-identity", img1.is_identity, image=img1)
+    add("relator-2-maps-to-identity", img2.is_identity, image=img2)
 
     stated_eq1 = (
         h ** (-v - 1) * g**2 * hvg ** (u - 1) * h ** (-v) * g**2
@@ -446,15 +446,15 @@ def verify_proof(params: TwistParams) -> ProofReport:
     add(
         "equation-1-matches-stated-rewrite",
         is_conjugate(eq1, stated_eq1),
-        equation_1=psi_rotated(eq1, "alpha").as_text(),
-        stated=stated_eq1.as_text(),
+        equation_1=psi_rotated(eq1, "alpha"),
+        stated=stated_eq1,
     )
     add(
         "equation-1-inverse-equivalent-to-equation-2",
         is_conjugate(eq1, eq2.inverse()),
-        equation_2=psi_rotated(eq2, "beta").as_text(),
+        equation_2=psi_rotated(eq2, "beta"),
     )
-    add("relator-5-maps-to-identity", img5.is_identity, image=img5.as_text())
+    add("relator-5-maps-to-identity", img5.is_identity, image=img5)
 
     def stated_second_form(g: Word, h: Word) -> Word:
         hvg = h ** (-v) * g
@@ -467,19 +467,19 @@ def verify_proof(params: TwistParams) -> ProofReport:
     add(
         "final-relator-equals-template",
         is_conjugate(second_form, d.relator_gh) and final_ab == template,
-        final=final_ab.as_text(),
-        template=template.as_text(),
+        final=final_ab,
+        template=template,
     )
     add(
         "longitude-word-matches",
         d.long_ab == stated.longitude_precorrection,
-        longitude=d.long_ab.as_text(),
-        stated=stated.longitude_precorrection.as_text(),
+        longitude=d.long_ab,
+        stated=stated.longitude_precorrection,
     )
     add(
         "meridian-correction-gives-stated-form",
         d.longitude_paper == stated.longitude_paper,
-        replayed=d.longitude_paper.as_text(),
+        replayed=d.longitude_paper,
         s_paper=stated.s_paper,
     )
     measured = stated.s_corrected - stated.s_paper

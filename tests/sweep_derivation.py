@@ -10,8 +10,9 @@ of the family (empty when all hold):
   ``u != 0``.
 
 Tier-1 runs it on a seeded sample of ``BOX`` (``test_twisted_torus.py``).
-Run as a script, it checks every member of the box and prints the failures,
-the member count and the wall time; it exits 1 if any member failed:
+Run as a script, it checks every member of the box and the ``FAR`` members,
+and prints the failures, the member count and the wall time; it exits 1 if
+any member failed:
 
     PYTHONPATH=src python tests/sweep_derivation.py
 """
@@ -33,6 +34,9 @@ from twistknot.words import is_conjugate
 
 #: the parameter box: u in [-200, 200], v in [0, 150]
 BOX = ((-200, 200), (0, 150))
+#: ``v = 0`` members far outside the box; there every derived word holds a
+#: few runs however large ``|u|`` is
+FAR = [(u, 0) for u in (-(10**12), -(10**6), 10**6, 10**12)]
 
 
 def check_member(u: int, v: int) -> list[str]:
@@ -70,7 +74,7 @@ def sample(seed: int, size: int) -> list[tuple[int, int]]:
 
 def main() -> int:
     start = time.perf_counter()
-    box = members()
+    box = members() + FAR
     failed = 0
     for u, v in box:
         failures = check_member(u, v)

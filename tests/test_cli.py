@@ -22,7 +22,7 @@ from twistknot.wirtinger import (
     diagram_to_json,
     wirtinger_presentation,
 )
-from twistknot.words import Word
+from twistknot.words import Word, is_conjugate
 
 
 def run(capsys, *argv):
@@ -454,8 +454,8 @@ def test_payload_run_cap_is_inclusive(capsys, monkeypatch, argv, runs):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["generate", "--mode", "derive", "--u", str(10**12), "--v", "0"],
-        ["verify-proof", "--u", str(10**12), "--v", "0"],
+        ["generate", "--mode", "derive", "--u", str(10**12), "--v", "1"],
+        ["verify-proof", "--u", str(10**12), "--v", "1"],
         ["generate", "--u", "0", "--v", str(10**12)],
         ["check-slope", "--u", "0", "--v", str(10**12), "--p", "5", "--q", "1"],
     ],
@@ -464,6 +464,27 @@ def test_huge_powers_of_multi_run_words_exit_1(capsys, argv):
     # (a b)^(10^12) would hold 2 * 10^12 runs; it is refused before any is built
     start = time.perf_counter()
     assert "over the cap" in _one_line_error(capsys, argv, 1)
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("u", [10**12, -(10**12)])
+def test_huge_twists_at_v_0_are_derived(capsys, u):
+    # at v = 0 each derived word holds a few runs whatever u is; only the
+    # stored twist relator psi (alpha beta)^u would hold 2|u| runs, and the
+    # derivation builds none
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "generate", "--mode", "derive", "--u", str(u), "--v", "0")
+    assert code == 0
+    derived = json.loads(out)
+    closed = json.loads(run(capsys, "generate", "--u", str(u), "--v", "0")[1])
+    assert derived["derived"] and derived["longitude_paper"] == closed["longitude_paper"]
+    rel_d, rel_c = (Word.parse(m["text"]["relator"]) for m in (derived, closed))
+    assert is_conjugate(rel_d, rel_c) or is_conjugate(rel_d, rel_c.inverse())
+    code, out, _ = run(capsys, "verify-proof", "--u", str(u), "--v", "0")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["passed"] for c in checks] == [True] * 8 + [False]
+    assert checks[8]["details"]["measured_class"] == 2 * u
     assert time.perf_counter() - start < 5
 
 

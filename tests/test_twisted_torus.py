@@ -200,9 +200,9 @@ def test_unknot_member():
 def test_pipeline_error_carries_stage():
     from twistknot.twisted_torus import PipelineError
 
-    err = PipelineError("add-twist-relations", "details")
-    assert err.stage == "add-twist-relations"
-    assert str(err) == "[add-twist-relations] details"
+    err = PipelineError("eliminate-deltas", "details")
+    assert err.stage == "eliminate-deltas"
+    assert str(err) == "[eliminate-deltas] details"
 
 
 def test_relator_and_w_templates_reduce():
@@ -250,13 +250,13 @@ def test_model_and_proof_read_one_derivation():
         assert d.meridian_ab == phi1["alpha"].substitute(phi2)
         hvg = h ** (-v) * g
         second_form = h ** (v + 1) * g.inverse() * hvg ** (-u) * g ** (-2) * h ** (2 * v + 1) * hvg**u
-        assert report.check(6).details["final"] == second_form.substitute(phi2).as_text()
+        assert report.check(6).details["final"] == second_form.substitute(phi2)
         assert model.presentation.relators == (d.relator_ab,)
         assert model.longitude_precorrection == d.long_ab
         assert model.longitude_paper == d.longitude_paper
         assert model.twist_residue == d.images[6]
-        assert report.check(7).details["longitude"] == d.long_ab.as_text()
-        assert report.check(8).details["replayed"] == d.longitude_paper.as_text()
+        assert report.check(7).details["longitude"] == d.long_ab
+        assert report.check(8).details["replayed"] == d.longitude_paper
         assert report.check(9).details["measured_class"] == 2 * u
 
 
@@ -319,16 +319,16 @@ def _refuse(*args):
     raise PresentationError("injected")
 
 
-def _replace_filled_relator(index, by):
-    """An ``add_twist_relations`` whose result has relator ``index`` replaced
-    by ``by(relators)``."""
-    real = twisted_torus.add_twist_relations
+def _replace_link_relator(index, by):
+    """A ``_link_prefix`` whose presentation has link relator ``index``
+    replaced by ``by(relators)``."""
+    real = twisted_torus._link_prefix
 
-    def patched(p, u, v):
-        filled = real(p, u, v)
-        relators = list(filled.relators)
-        relators[index] = by(filled.relators)
-        return Presentation(filled.generators, tuple(relators))
+    def patched():
+        prefix, l0 = real()
+        relators = list(prefix.relators)
+        relators[index] = by(prefix.relators)
+        return Presentation(prefix.generators, tuple(relators)), l0
 
     return patched
 
@@ -347,7 +347,6 @@ def _meridian_not_conjugate(x, y):
     "name, replacement, stage, message",
     [
         ("tietze_eliminate", _refuse, "eliminate-deltas", "injected"),
-        ("add_twist_relations", _refuse, "add-twist-relations", "injected"),
         (
             "substitution_chain",
             _chain_with_wrong_stage2_forward,
@@ -355,14 +354,14 @@ def _meridian_not_conjugate(x, y):
             "stage 2 does not invert on b: b a b",
         ),
         (
-            "add_twist_relations",
-            _replace_filled_relator(0, lambda rels: word(("alpha", 1))),
+            "_link_prefix",
+            _replace_link_relator(0, lambda rels: word(("alpha", 1))),
             "change-generators",
             "relator 1 should map to the identity, got h^2 g^-1",
         ),
         (
-            "add_twist_relations",
-            _replace_filled_relator(3, lambda rels: rels[2]),
+            "_link_prefix",
+            _replace_link_relator(3, lambda rels: rels[2]),
             "change-generators",
             "surviving relators are not inverse-equivalent",
         ),
@@ -385,6 +384,16 @@ def test_derivation_fails_at_the_named_stage(monkeypatch, capsys, name, replacem
         assert (captured.out, captured.err) == ("", f"twisted_torus: [{stage}] {message}\n")
     finally:
         _link_prefix.cache_clear()
+
+
+def test_derivation_builds_no_twist_relator(monkeypatch):
+    # the twist fillings come from twist_fillings, so add_twist_relations,
+    # the reference of the filling images, may fail without effect
+    params = [TwistParams(u, v) for u, v in ((1, 1), (-3, 0), (0, 2))]
+    expected = [(derive_from_diagram(p), verify_proof(p)) for p in params]
+    for module in (twisted_torus, twistknot.wirtinger, twistknot):
+        monkeypatch.setattr(module, "add_twist_relations", _refuse, raising=False)
+    assert [(derive_from_diagram(p), verify_proof(p)) for p in params] == expected
 
 
 # -- the braid closure: Alexander polynomial by reduced Burau ----------------
