@@ -49,9 +49,6 @@ class EnumerationResult(Record):
     def finished(self) -> bool:
         return self.outcome == "finished"
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 def surgered_presentation(model: KnotGroupModel, slope, use: str = "paper") -> Presentation:
     """Knot group presentation plus the filling relator ``meridian^p longitude^q``.

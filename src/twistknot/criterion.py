@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from functools import cache
 from math import gcd
 from operator import itemgetter
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .presentations import Presentation
 from .twisted_torus import KnotGroupModel, TwistParams, closed_form
@@ -27,9 +27,6 @@ from .words import (
     is_integer,
     is_positive_excluding,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 #: shape matching expands the relator into single letters and indexes every
@@ -66,17 +63,8 @@ class ITShape(Record):
         )
 
     def to_json(self) -> dict:
-        return {
-            "a": self.a.name,
-            "b": self.b.name,
-            "m": self.m,
-            "n": self.n,
-            "r": self.r,
-            "k": self.k,
-            "w1": self.w1.to_pairs(),
-            "w2": self.w2.to_pairs(),
-            "text": {"w1": self.w1.as_text(), "w2": self.w2.as_text()},
-        }
+        """The record rule's keys plus ``text``, ``w1`` and ``w2`` as text."""
+        return {**super().to_json(), "text": {"w1": self.w1.as_text(), "w2": self.w2.as_text()}}
 
 
 class Slope(Record):
@@ -95,13 +83,6 @@ class Slope(Record):
         if self.q < 0 or (self.q == 0 and self.p < 0):
             object.__setattr__(self, "p", -self.p)
             object.__setattr__(self, "q", -self.q)
-
-    def as_fraction(self) -> Fraction:
-        from fractions import Fraction  # on first use: nothing else here needs it
-
-        if self.q == 0:
-            raise CriterionError("1/0 filling has no rational value")
-        return Fraction(self.p, self.q)
 
 
 # -- shape matching ----------------------------------------------------------
@@ -301,9 +282,6 @@ class Verdict(Record):
     kind: str  # "GuaranteedNonLO" | "NotApplicable" | "Unknown"
     reason: Optional[str] = None
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "reason": self.reason}
-
 
 def decide(shape: Optional[ITShape], w_positive: bool, bound: int, slope: Slope) -> Verdict:
     """Evaluate the criterion's hypotheses in order for one slope.
@@ -346,23 +324,8 @@ class CriterionReport(Record):
     verdict: Verdict
 
     def to_json(self) -> dict:
-        return {
-            "u": self.params.u,
-            "v": self.params.v,
-            "slope": {"p": self.slope.p, "q": self.slope.q},
-            "shape": self.shape.to_json() if self.shape else None,
-            "s_paper": self.s_paper,
-            "s_corrected": self.s_corrected,
-            "t": self.t,
-            "bound_paper": self.bound_paper,
-            "bound_corrected": self.bound_corrected,
-            "longitude_used": self.longitude_used,
-            "w": self.w.to_pairs(),
-            "w_text": self.w.as_text(),
-            "w_positive_blocks": self.w_positive_blocks,
-            "w_positive_reduced": self.w_positive_reduced,
-            "verdict": self.verdict.to_json(),
-        }
+        """The record rule's keys plus ``w_text``, ``w`` as text."""
+        return {**super().to_json(), "w_text": self.w.as_text()}
 
 
 def _family_setup(params: TwistParams, use: str) -> tuple[KnotGroupModel, int]:

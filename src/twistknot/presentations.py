@@ -47,16 +47,6 @@ class Presentation(Record):
                 names = ", ".join(sorted(g.name for g in undeclared))
                 raise PresentationError(f"relator uses undeclared generator(s): {names}")
 
-    def relator_matrix(self) -> list[list[int]]:
-        """Exponent-sum matrix, one row per relator, one column per generator."""
-        return [[rel.exponent_sum(g) for g in self.generators] for rel in self.relators]
-
-    def to_json(self) -> dict:
-        return {
-            "generators": [g.name for g in self.generators],
-            "relators": [rel.to_pairs() for rel in self.relators],
-        }
-
     @staticmethod
     def from_json(data: Mapping) -> "Presentation":
         if not isinstance(data, Mapping) or not all(

@@ -53,6 +53,8 @@ class TwistParams(Record):
     u: int
     v: int
 
+    _inline = True  # a parent record's JSON holds ``u`` and ``v``, not ``params``
+
     def __post_init__(self) -> None:
         if not (is_integer(self.u) and is_integer(self.v)):
             raise ValueError(f"u and v must be integers, got {self.u!r} and {self.v!r}")
@@ -175,21 +177,10 @@ class KnotGroupModel(Record):
         return self.s_paper if _selects_paper(use) else self.s_corrected
 
     def to_json(self) -> dict:
+        """The record rule's keys plus ``text``, the relator and the peripheral
+        words as text."""
         return {
-            "u": self.params.u,
-            "v": self.params.v,
-            "derived": self.derived,
-            "presentation": self.presentation.to_json(),
-            "meridian": self.meridian.to_pairs(),
-            "longitude_paper": self.longitude_paper.to_pairs(),
-            "longitude_corrected": self.longitude_corrected.to_pairs(),
-            "s_paper": self.s_paper,
-            "s_corrected": self.s_corrected,
-            "t": self.t,
-            "w": self.w.to_pairs(),
-            "w_blocks_positive": self.w_blocks_positive,
-            "longitude_precorrection": self.longitude_precorrection.to_pairs(),
-            "twist_residue": self.twist_residue.to_pairs(),
+            **super().to_json(),
             "text": {
                 "relator": self.presentation.relators[0].as_text(),
                 "meridian": self.meridian.as_text(),
@@ -384,7 +375,7 @@ class ProofCheck(Record):
 
     def to_json(self) -> dict:
         details = {k: v.as_text() if isinstance(v, Word) else v for k, v in self.details.items()}
-        return {**self._asdict(), "details": details}
+        return {**super().to_json(), "details": details}
 
 
 class ProofReport(Record):
@@ -399,12 +390,8 @@ class ProofReport(Record):
         return self.checks[index - 1]
 
     def to_json(self) -> dict:
-        return {
-            "u": self.params.u,
-            "v": self.params.v,
-            "checks": [c.to_json() for c in self.checks],
-            "all_passed": self.all_passed,
-        }
+        """The record rule's keys plus ``all_passed``."""
+        return {**super().to_json(), "all_passed": self.all_passed}
 
 
 def verify_proof(params: TwistParams) -> ProofReport:

@@ -252,12 +252,7 @@ _CROSSING_KEYS = {*_NAME_KEYS, "sign"}
 
 
 def diagram_to_json(d: LinkDiagram) -> dict:
-    return {
-        "arcs": list(d.arcs),
-        "components": [list(c) for c in d.components],
-        "component_names": list(d.component_names),
-        "crossings": [c._asdict() for c in d.crossings],
-    }
+    return d.to_json()
 
 
 def diagram_from_json(data: Mapping) -> LinkDiagram:

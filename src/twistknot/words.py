@@ -53,11 +53,15 @@ class Record:
     runs and may normalize them with ``object.__setattr__``.  Setting or
     deleting an attribute raises ``AttributeError``.  Records compare and hash
     by their field values, and records of different classes are never equal.
+    ``to_json`` is the one rule that writes a record as JSON.
     """
 
     _fields: tuple[str, ...] = ()
     _defaults: tuple = ()  # the trailing fields' defaults, in order
     _field_set: frozenset = frozenset()
+    #: a record of a class that sets this writes its fields into its parent's JSON
+    #: object, in place of the field that holds it
+    _inline = False
 
     def __init_subclass__(cls) -> None:
         fields = cls._fields = tuple(cls.__annotations__)
@@ -104,9 +108,17 @@ class Record:
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))
 
-    def _asdict(self) -> dict:
-        """The fields by name, in order; their values are not copied."""
-        return dict(zip(self._fields, self._values()))
+    def to_json(self) -> dict:
+        """JSON form: each field under its own name, a ``Word`` as its
+        ``[name, exponent]`` pairs, a record as its ``to_json()`` and a tuple
+        as a list."""
+        out: dict = {}
+        for field, value in zip(self._fields, self._values()):
+            if isinstance(value, Record) and value._inline:
+                out.update(value.to_json())
+            else:
+                out[field] = _json(value)
+        return out
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -412,6 +424,17 @@ class Word:
             except ValueError:  # an empty name, or more digits than int() reads
                 pass
         raise ValueError(f"malformed word text {text!r}")
+
+
+def _json(value):
+    """A record field's JSON form, by ``Record.to_json``'s rule."""
+    if isinstance(value, Word):
+        return value.to_pairs()
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_json(item) for item in value]
+    return value
 
 
 _set_runs = Word.runs.__set__  # the slot's own setter, past Word.__setattr__

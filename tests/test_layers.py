@@ -2,6 +2,8 @@
 package exports a fixed set of public names."""
 
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,6 +89,34 @@ PUBLIC_NAMES = {
 
 def test_public_surface_is_pinned():
     assert set(twistknot.__all__) == PUBLIC_NAMES
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _resolves(obj, dotted: str) -> bool:
+    for attr in dotted.split("."):
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_the_benchmark_finds_every_library_name_it_uses():
+    # the benchmark changes apart from the library: a name it reaches that the
+    # library drops should fail here, not only when the benchmark runs
+    used = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used.update(re.findall(r"\btk\.([A-Za-z_][\w.]*\w)", path.read_text(encoding="utf-8")))
+    assert used and [name for name in sorted(used) if not _resolves(twistknot, name)] == []
+    tree = ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    traced = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert traced and [
+        f"{module}.{name}" for module, name in traced
+        if not _resolves(importlib.import_module(f"twistknot.{module}"), name)
+    ] == []
 
 
 #: standard modules that cost more to import than the package needs them:

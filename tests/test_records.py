@@ -1,7 +1,8 @@
 """The contract every frozen record of the package keeps (``words.Record``):
 frozen, compared and hashed by its field values, a ``Name(field=value, ...)``
-repr, and the constructor rules of a plain function."""
+repr, the constructor rules of a plain function, and one JSON rule."""
 
+import json
 import re
 
 import pytest
@@ -17,7 +18,7 @@ from twistknot.twisted_torus import (
     verify_proof,
 )
 from twistknot.wirtinger import Crossing, builtin_link_L, peripheral_system
-from twistknot.words import Record
+from twistknot.words import Record, Word
 
 
 def _samples() -> list:
@@ -131,3 +132,45 @@ def test_a_field_without_default_may_not_follow_one_with():
         class Bad(Record):
             first: int = 0
             second: int
+
+
+#: records that reach no JSON output: the CLI and ``diagram_to_json`` write none of them
+UNWRITTEN = {"SubstitutionChain", "Derivation", "PeripheralSystem"}
+WRITTEN = [record for record in SAMPLES if type(record).__name__ not in UNWRITTEN]
+#: the keys a record's JSON holds beside the record rule's, as README documents them
+EXTRAS = {"ITShape": {"text"}, "KnotGroupModel": {"text"}, "CriterionReport": {"w_text"},
+          "ProofReport": {"all_passed"}}
+
+
+def _rule(value):
+    """A field's JSON by the record rule, spelled out."""
+    if isinstance(value, Word):
+        return [[gen, exp] for gen, exp in value.runs]
+    if isinstance(value, Record):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_rule(item) for item in value]
+    return value
+
+
+@pytest.mark.parametrize("record", WRITTEN, ids=[type(record).__name__ for record in WRITTEN])
+def test_record_json_holds_its_fields_and_only_its_documented_extras(record):
+    data = record.to_json()
+    json.dumps(data)
+    name = type(record).__name__
+    if name == "HomologySummary":  # it renames its two fields
+        assert data == {"torsion": list(record.torsion_orders), "rank": record.free_rank}
+        return
+    expected = {}
+    for field in record._fields:
+        value = getattr(record, field)
+        if isinstance(value, TwistParams):
+            expected.update(u=value.u, v=value.v)
+        elif name == "ProofCheck" and field == "details":  # it writes the words as text
+            expected[field] = {k: w.as_text() if isinstance(w, Word) else w
+                               for k, w in value.items()}
+        else:
+            expected[field] = _rule(value)
+    assert data.keys() == expected.keys() | EXTRAS.get(name, set())
+    assert {key: data[key] for key in expected} == expected
+
