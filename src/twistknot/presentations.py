@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .words import Generator, Record, Word, is_conjugate
@@ -101,11 +102,14 @@ def _identity(n: int) -> list[list[int]]:
 
 def smith_normal_form(
     matrix: Sequence[Sequence[int]],
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Return ``(diag, U, V)`` with ``U * matrix * V`` diagonal and U, V unimodular.
+) -> tuple[list[int], list[list[int]]]:
+    """Return ``(diag, U)``, U unimodular, such that a unimodular V makes
+    ``U * matrix * V`` diagonal with ``diag`` on its diagonal.
 
     ``diag`` lists the nonnegative invariant factors in divisibility order,
-    padded with zeros up to ``min(m, n)``.
+    padded with zeros up to ``min(m, n)``.  Only the row transform is kept:
+    H1 reads its classes through U, and the column moves that V would record
+    act on the pivot row alone.
 
     Each round moves the smallest nonzero entry of the block not yet diagonal
     to the block's corner and divides it into its column, and only then into
@@ -118,7 +122,6 @@ def smith_normal_form(
     n = len(matrix[0]) if matrix else 0
     a = [list(row) for row in matrix]
     u = _identity(m)
-    v = _identity(n)
     t = 0
     while True:
         best = 0
@@ -133,7 +136,7 @@ def smith_normal_form(
         a[t], a[pi] = a[pi], a[t]
         u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            for row in a + v:
+            for row in a:
                 row[t], row[pj] = row[pj], row[t]
         top = a[t]
         p = top[t]
@@ -145,13 +148,9 @@ def smith_normal_form(
         # a unit pivot leaves no remainder and divides every entry
         if best > 1 and any(row[t] for row in a[t + 1:]):
             continue
-        # the rest of column t is zero, so in ``a`` a column move changes row t only
-        for j in range(t + 1, n):
-            q = top[j] // p
-            if q:
-                top[j] -= q * p
-                for row in v:
-                    row[j] -= q * row[t]
+        # the rest of column t is zero, so a column move changes row t only:
+        # column j less (top[j] // p) times column t leaves top[j] % p there
+        top[t + 1:] = [x % p for x in top[t + 1:]]
         if any(top[t + 1:]):
             continue
         for i in range(t + 1, m):
@@ -170,7 +169,7 @@ def smith_normal_form(
         lead = next((x for x in u[i] if x), 0)
         if lead < 0:
             u[i] = [-x for x in u[i]]
-    return diag, u, v
+    return diag, u
 
 
 class HomologySummary(Record):
@@ -198,7 +197,7 @@ def _abelianization_snf(p: Presentation):
     for j, rel in enumerate(p.relators):
         for g, e in rel.runs:
             columns[row_of[g]][j] += e
-    diag, u, _ = smith_normal_form(columns)
+    diag, u = smith_normal_form(columns)
     rank = sum(1 for d in diag if d)
     return diag, u, rank
 
@@ -220,18 +219,17 @@ def h1_classes(p: Presentation) -> Callable[[Word], tuple[int, ...]]:
     exponent sums are read in one pass over its runs.
     """
     diag, u, rank = _abelianization_snf(p)
-    ngen = len(p.generators)
-    index = {g: i for i, g in enumerate(p.generators)}
 
     def classify(x: Word) -> tuple[int, ...]:
-        exps = [0] * ngen
+        # keyed by generator in declared order, so its values line up with U's columns
+        exps = dict.fromkeys(p.generators, 0)
         try:
             for g, e in x.runs:
-                exps[index[g]] += e
+                exps[g] += e
         except KeyError:
-            names = ", ".join(sorted(g.name for g in x.generator_set() - index.keys()))
+            names = ", ".join(sorted(g.name for g in x.generator_set() - exps.keys()))
             raise PresentationError(f"word uses undeclared generator(s): {names}") from None
-        image = [sum(u[i][j] * exps[j] for j in range(ngen)) for i in range(ngen)]
+        image = [sum(map(mul, row, exps.values())) for row in u]
         torsion_coords = [image[i] % diag[i] for i in range(rank) if diag[i] > 1]
         return tuple(torsion_coords + image[rank:])
 

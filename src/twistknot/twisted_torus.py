@@ -320,11 +320,10 @@ def derive_intermediates(params: TwistParams) -> Derivation:
     meridian_ab = composite["alpha"]
     long_ab = l0.substitute(composite)
     # rebase: move the leading (ba)^(v+1) block to the end, then add the
-    # meridian corrections a^-1 and a^(-3(3v+2)-2u)
+    # paper's two meridian corrections, a^-1 and a^(-3(3v+2)-2u), which
+    # together are a^-s for the paper's s
     block = _BA ** (params.v + 1)
-    longitude_paper = _A ** (-(3 * (3 * params.v + 2) + 2 * params.u)) * (
-        _A ** (-1) * (block.inverse() * long_ab * block)
-    )
+    longitude_paper = _A ** (-s_paper_value(params)) * (block.inverse() * long_ab * block)
     relator_gh = images[2].inverse()
     relator_ab = prefix.relators[2].substitute(composite).inverse()
     return Derivation(

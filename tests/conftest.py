@@ -24,6 +24,19 @@ def sparse_matrix(rng: random.Random, m: int, n: int) -> list[list[int]]:
     ]
 
 
+def random_presentation(rng: random.Random, gens: int, rels: int) -> tuple[Presentation, dict]:
+    """A presentation on ``x0 .. x(gens-1)`` whose relator ``i`` is the product of
+    ``xj^e`` over row ``i`` of ``sparse_matrix(rng, rels, gens)``, so that row is
+    its exponent sums; returned with its JSON for ``h1 --presentation``."""
+    names = tuple(f"x{j}" for j in range(gens))
+    rows = sparse_matrix(rng, rels, gens)
+    data = {
+        "generators": list(names),
+        "relators": [[[g, e] for g, e in zip(names, row) if e] for row in rows],
+    }
+    return Presentation.from_json(data), data
+
+
 def conjugate_relator(p: Presentation, index: int, by: Word) -> Presentation:
     """Tietze move: replace relator ``index`` by its conjugate ``by r by^-1``."""
     rels = list(p.relators)

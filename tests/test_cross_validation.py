@@ -230,10 +230,17 @@ def test_alexander_of_random_one_relator_presentations_matches_sympy():
 
 
 def test_invariant_factors_match_sympy():
+    def check(matrix):
+        expected = [abs(int(d)) for d in invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)]
+        diag, _ = smith_normal_form(matrix)
+        assert [d for d in diag if d] == [d for d in expected if d], (len(matrix), len(matrix[0]))
+
     rng = random.Random(408)
     for size in range(10, 31, 5):
         for m, n in ((size, size), (size, size + 3), (size + 3, size)):
-            matrix = sparse_matrix(rng, m, n)
-            expected = [abs(int(d)) for d in invariant_factors(sympy.Matrix(matrix), domain=sympy.ZZ)]
-            diag, _, _ = smith_normal_form(matrix)
-            assert [d for d in diag if d] == [d for d in expected if d], (m, n)
+            check(sparse_matrix(rng, m, n))
+    # generators x relators, the layout _abelianization_snf builds for a
+    # presentation with more relators than generators
+    rng = random.Random(409)
+    for size in range(10, 31, 5):
+        check(sparse_matrix(rng, size, 3 * size))

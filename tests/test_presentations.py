@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ABC, conjugate_relator, invert_relator, random_word, sparse_matrix
+from conftest import (
+    ABC,
+    conjugate_relator,
+    invert_relator,
+    random_presentation,
+    random_word,
+    sparse_matrix,
+)
 from twistknot import presentations
 from twistknot.presentations import (
     HomologySummary,
@@ -13,6 +20,7 @@ from twistknot.presentations import (
     add_relators,
     alexander_polynomial,
     class_in_h1,
+    h1_classes,
     homology,
     smith_normal_form,
     tietze_eliminate,
@@ -137,6 +145,32 @@ def test_class_in_h1_torsion_coordinates():
     assert class_in_h1(p, word(("a", 7))) == (2,)
 
 
+def test_h1_classes_of_wide_presentations():
+    # more relators than generators, so the relator matrix is wider than tall;
+    # powers of gens - 1 random relators, and products of those powers, leave
+    # torsion and a free part
+    rng = random.Random(31)
+    for gens in (2, 3, 4, 5, 6, 8):
+        base, _ = random_presentation(rng, gens, gens - 1)
+        powers = [r ** rng.randrange(1, 4) for r in base.relators]
+        extra = [
+            rng.choice(powers) * rng.choice(powers) ** rng.choice((-2, -1, 1))
+            for _ in range(2 * gens)
+        ]
+        p = Presentation(base.generators, tuple(powers + extra))
+        h1 = homology(p)
+        orders = h1.torsion_orders
+        classify = h1_classes(p)
+        for rel in p.relators:
+            assert classify(rel) == (0,) * (len(orders) + h1.free_rank)
+        for _ in range(20):
+            x = random_word(rng, p.generators, 10)
+            y = random_word(rng, p.generators, 10)
+            sums = [c + d for c, d in zip(classify(x), classify(y))]
+            reduced = [c % d for c, d in zip(sums, orders)] + sums[len(orders):]
+            assert classify(x * y) == tuple(reduced)
+
+
 # -- Smith normal form -----------------------------------------------------------
 
 
@@ -156,19 +190,31 @@ def _snf_inputs():
 
 
 def test_snf_transforms_and_unimodularity():
+    # a unimodular V with U M V = D exists iff U M = D W, where the rows of the
+    # integral r x n matrix W (the first r rows of V^-1) complete to a
+    # unimodular matrix, i.e. W's invariant factors are all 1
     for matrix in _snf_inputs():
-        m, n = len(matrix), len(matrix[0])
-        diag, u, v = smith_normal_form(matrix)
-        product = _matmul(_matmul(u, matrix), v)
-        for i in range(m):
-            for j in range(n):
-                expected = diag[i] if i == j and i < len(diag) else 0
-                assert product[i][j] == expected
+        diag, u = smith_normal_form(matrix)
         assert abs(_det(u)) == 1
-        assert abs(_det(v)) == 1
-        positive = [d for d in diag if d]
-        for first, second in zip(positive, positive[1:]):
+        r = sum(1 for d in diag if d)
+        assert all(diag[:r]) and not any(diag[r:])
+        rows = _matmul(u, matrix)
+        assert not any(any(row) for row in rows[r:])
+        w = []
+        for d, row in zip(diag, rows[:r]):
+            assert d > 0 and all(x % d == 0 for x in row)
+            w.append([x // d for x in row])
+        assert smith_normal_form(w)[0] == [1] * r
+        for first, second in zip(diag[:r], diag[1:r]):
             assert second % first == 0
+
+
+def test_snf_degenerate_shapes():
+    assert smith_normal_form([]) == ([], [])
+    assert smith_normal_form([[]]) == ([], [[1]])
+    assert smith_normal_form([[], [], []]) == ([], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert homology(Presentation((), ())) == HomologySummary((), 0)
+    assert homology(Presentation(ABC, ())) == HomologySummary((), 3)
 
 
 def test_snf_invariant_factors_shuffle_independent():
@@ -177,13 +223,13 @@ def test_snf_invariant_factors_shuffle_independent():
         m = rng.randrange(1, 5)
         n = rng.randrange(1, 5)
         matrix = [[rng.randrange(-6, 7) for _ in range(n)] for _ in range(m)]
-        diag, _, _ = smith_normal_form(matrix)
+        diag, _ = smith_normal_form(matrix)
         shuffled = [row[:] for row in matrix]
         rng.shuffle(shuffled)
         cols = list(range(n))
         rng.shuffle(cols)
         shuffled = [[row[c] for c in cols] for row in shuffled]
-        diag2, _, _ = smith_normal_form(shuffled)
+        diag2, _ = smith_normal_form(shuffled)
         assert diag == diag2
 
 

@@ -147,7 +147,7 @@ def _matrix_rank(p: Presentation) -> int:
     from twistknot.presentations import smith_normal_form
 
     rows = [[rel.exponent_sum(g) for g in p.generators] for rel in p.relators]
-    diag, _, _ = smith_normal_form(rows)
+    diag, _ = smith_normal_form(rows)
     return sum(1 for x in diag if x)
 
 
