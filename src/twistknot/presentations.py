@@ -12,6 +12,7 @@ Crowell-Fox, ch. VII), an exact division computed in one dense pass.
 
 from __future__ import annotations
 
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import mul
@@ -32,7 +33,14 @@ MAX_FOX_TERMS = 10**6
 
 class Presentation(Record):
     """Generators plus relators; relators are stored freely reduced.  Generators
-    may be given as plain names; they are stored as ``Generator``s."""
+    may be given as plain names; they are stored as ``Generator``s.
+
+    A presentation keeps the Smith form of its abelianized relator matrix once
+    it is first read (``_abelianization``), so ``h1_classes``, ``homology``
+    and ``alexander_polynomial`` on one presentation compute it once.  It is
+    no field: equality, hashing, ``repr`` and JSON never see it, and it goes
+    with the presentation.
+    """
 
     generators: tuple[Generator, ...]
     relators: tuple[Word, ...]
@@ -56,6 +64,19 @@ class Presentation(Record):
             raise PresentationError('a presentation needs "generators" and "relators" lists')
         rels = tuple(Word.from_pairs(p) for p in data["relators"])
         return Presentation(tuple(data["generators"]), rels)
+
+    @cached_property
+    def _abelianization(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+        """``(diag, U, rank)``: the Smith form of the transposed relator matrix
+        (columns index relators), read in one pass over each relator's runs,
+        and the number of nonzero invariant factors."""
+        row_of = {g: i for i, g in enumerate(self.generators)}
+        columns = [[0] * len(self.relators) for _ in self.generators]
+        for j, rel in enumerate(self.relators):
+            for g, e in rel.runs:
+                columns[row_of[g]][j] += e
+        diag, u = smith_normal_form(columns)
+        return tuple(diag), tuple(map(tuple, u)), sum(1 for d in diag if d)
 
 
 def add_relators(p: Presentation, rs: Iterable[Word]) -> Presentation:
@@ -189,22 +210,9 @@ class HomologySummary(Record):
         return {"torsion": list(self.torsion_orders), "rank": self.free_rank}
 
 
-def _abelianization_snf(p: Presentation):
-    """SNF data of the transposed relator matrix (columns index relators),
-    read in one pass over each relator's runs."""
-    row_of = {g: i for i, g in enumerate(p.generators)}
-    columns = [[0] * len(p.relators) for _ in p.generators]
-    for j, rel in enumerate(p.relators):
-        for g, e in rel.runs:
-            columns[row_of[g]][j] += e
-    diag, u = smith_normal_form(columns)
-    rank = sum(1 for d in diag if d)
-    return diag, u, rank
-
-
 def homology(p: Presentation) -> HomologySummary:
     """Abelianization of the presented group as an abstract abelian group."""
-    diag, _, rank = _abelianization_snf(p)
+    diag, _, rank = p._abelianization
     torsion = tuple(d for d in diag if d > 1)
     return HomologySummary(torsion, len(p.generators) - rank)
 
@@ -218,7 +226,7 @@ def h1_classes(p: Presentation) -> Callable[[Word], tuple[int, ...]]:
     longitude of a knot in the 3-sphere must map to all zeros.  A word's
     exponent sums are read in one pass over its runs.
     """
-    diag, u, rank = _abelianization_snf(p)
+    diag, u, rank = p._abelianization
 
     def classify(x: Word) -> tuple[int, ...]:
         # keyed by generator in declared order, so its values line up with U's columns
@@ -371,7 +379,7 @@ def alexander_polynomial(p: Presentation) -> LaurentPolynomial:
         raise PresentationError(
             "Alexander polynomial requires a 2-generator, 1-relator presentation"
         )
-    diag, u, rank = _abelianization_snf(p)
+    diag, u, rank = p._abelianization
     if rank != 1 or diag[0] != 1:
         raise PresentationError("presentation does not have H1 infinite cyclic")
     # the free coordinate of each generator, as class_in_h1 gives it

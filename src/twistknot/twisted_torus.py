@@ -5,9 +5,11 @@ parametric templates.  ``derive_intermediates`` runs the derivation from the
 built-in link (Wirtinger presentation, arc elimination, the images of the two
 twist-region fillings and two changes of generating set) and names its
 intermediates without judging them.  ``derive_from_diagram`` turns them into
-the same model, raising at the first stage that fails; ``verify_proof``
-checks them against the paper's stated forms and reports which hold, keeping
-the words it compares as ``Word``s until ``to_json`` writes them as text.
+the same model, raising at the first stage that fails.  ``verify_proof``
+builds only the intermediates its checks read, the part both share
+(``_shared_intermediates``), checks them against the paper's stated forms and
+reports which hold, keeping the words it compares as ``Word``s until
+``to_json`` writes them as text.
 
 The lower twist filling reads ``psi (alpha beta)^u`` while the change of
 generators substitutes ``psi -> (alpha beta)^u``, matching the surgery-slope
@@ -268,13 +270,15 @@ def _link_prefix() -> tuple[Presentation, Word]:
 
 
 class Derivation(Record):
-    """Named intermediates of the derivation for one member.
+    """Named intermediates of the derivation for one member, as
+    ``derive_from_diagram`` checks them.
 
     Computing them makes no judgement: ``derive_from_diagram`` raises at the
-    first stage that fails, ``verify_proof`` compares them against the
-    paper's stated forms.  The ``a, b`` words are read through the composite
-    of the two stages; being reduced, they are the words that
-    ``stage2_backward`` gives on the stage-1 images.
+    first stage that fails.  ``verify_proof`` builds only the part it shares
+    with them (``_shared_intermediates``): no twist filling image, no
+    ``relator_ab`` and no ``meridian_ab``.  The ``a, b`` words are read
+    through the composite of the two stages; being reduced, they are the
+    words that ``stage2_backward`` gives on the stage-1 images.
     """
 
     chain: SubstitutionChain
@@ -289,16 +293,42 @@ class Derivation(Record):
     longitude_paper: Word
 
 
+def _shared_intermediates(
+    params: TwistParams,
+) -> tuple[Presentation, SubstitutionChain, dict[str, Word], tuple[Word, ...], Word, Word]:
+    """What both ``derive_from_diagram`` and ``verify_proof`` check:
+    ``(prefix, chain, composite, images, long_ab, longitude_paper)``.
+
+    ``prefix`` is ``_link_prefix()``'s presentation, ``composite`` the map
+    from the link generators to ``a, b`` words (stage 2 after stage 1), and
+    ``images`` the stage-1 images of the five link relators, substituted run
+    by run.
+    """
+    prefix, l0 = _link_prefix()
+    chain = substitution_chain(params)
+    phi1, phi2 = chain.stage1_backward, chain.stage2_backward
+    composite = _stage1_backward(params, phi2["g"], phi2["h"])
+    images = tuple(rel.substitute(phi1) for rel in prefix.relators)
+    long_ab = l0.substitute(composite)
+    # rebase: move the leading (ba)^(v+1) block to the end, then add the
+    # paper's two meridian corrections, a^-1 and a^(-3(3v+2)-2u), which
+    # together are a^-s for the paper's s
+    block = _BA ** (params.v + 1)
+    longitude_paper = _A ** (-s_paper_value(params)) * (block.inverse() * long_ab * block)
+    return prefix, chain, composite, images, long_ab, longitude_paper
+
+
 def derive_intermediates(params: TwistParams) -> Derivation:
     """Run the derivation from the built-in link for one parameter pair.
 
-    The five link relators of ``_link_prefix`` are substituted run by run.
-    The twist fillings are never built as relators: each filling
-    ``head base^n`` is a power, and a homomorphism sends it to
-    ``image(head) image(base)^n`` (the factored forms of ``twist_fillings``).
-    Its image costs the runs of that power, where the stored relator alone
-    holds ``|n|`` runs of ``base`` (at ``v = 0`` the lower filling maps to
-    the one run ``g^(2u)``).
+    To the part ``verify_proof`` also reads (``_shared_intermediates``) it
+    adds what only ``derive_from_diagram`` reads: the images of the two twist
+    fillings, the ``a, b`` relator and the meridian.  The twist fillings are
+    never built as relators: each filling ``head base^n`` is a power, and a
+    homomorphism sends it to ``image(head) image(base)^n`` (the factored
+    forms of ``twist_fillings``).  Its image costs the runs of that power,
+    where the stored relator alone holds ``|n|`` runs of ``base`` (at
+    ``v = 0`` the lower filling maps to the one run ``g^(2u)``).
 
     The ``a, b`` words come from one map, stage 2 after stage 1: the stage-1
     images of the link generators built from the ``a, b`` words of ``g`` and
@@ -308,22 +338,14 @@ def derive_intermediates(params: TwistParams) -> Derivation:
     ``g, h`` word run by run joins ``u`` images of ``O(v)`` runs that mostly
     cancel.
     """
-    prefix, l0 = _link_prefix()
-    chain = substitution_chain(params)
-    phi1, phi2 = chain.stage1_backward, chain.stage2_backward
-    composite = _stage1_backward(params, phi2["g"], phi2["h"])
-    images = tuple(rel.substitute(phi1) for rel in prefix.relators) + tuple(
+    prefix, chain, composite, images, long_ab, longitude_paper = _shared_intermediates(params)
+    phi1 = chain.stage1_backward
+    images += tuple(
         head.substitute(phi1) * base.substitute(phi1) ** n
         for head, base, n in twist_fillings(params.u, params.v)
     )
     # the strand component's first arc alpha is its meridian
     meridian_ab = composite["alpha"]
-    long_ab = l0.substitute(composite)
-    # rebase: move the leading (ba)^(v+1) block to the end, then add the
-    # paper's two meridian corrections, a^-1 and a^(-3(3v+2)-2u), which
-    # together are a^-s for the paper's s
-    block = _BA ** (params.v + 1)
-    longitude_paper = _A ** (-s_paper_value(params)) * (block.inverse() * long_ab * block)
     relator_gh = images[2].inverse()
     relator_ab = prefix.relators[2].substitute(composite).inverse()
     return Derivation(
@@ -396,17 +418,21 @@ class ProofReport(Record):
 def verify_proof(params: TwistParams) -> ProofReport:
     """Check the derivation's intermediates against the paper's stated forms.
 
-    Checks 1-5 concern the stage-1 images of the link relators, check 6 the
-    two-generator relator, checks 7-8 the longitude before and after its
-    rebase; the stated forms of checks 6-9 are those of ``closed_form``.
+    It builds the part of the derivation that ``derive_from_diagram`` also
+    checks (``_shared_intermediates``), and neither twist filling's image nor
+    the ``a, b`` relator, which no check reads; each call builds that part
+    afresh from ``params``.  Checks 1-5 concern the stage-1 images of the
+    link relators, check 6 the two-generator relator, checks 7-8 the
+    longitude before and after its rebase; the stated forms of checks 6-9
+    are those of ``closed_form``.
     Check 9 measures the abelianization class of the final longitude, which
     must be 0 for a preferred longitude but comes out as ``2u`` under the
     stated meridian correction.  Failures are data, not errors.
     """
     u, v = params.u, params.v
-    d = derive_intermediates(params)
+    _, chain, _, images, long_ab, longitude_paper = _shared_intermediates(params)
     stated = closed_form(params)
-    phi1, phi2 = d.chain.stage1_backward, d.chain.stage2_backward
+    phi1, phi2 = chain.stage1_backward, chain.stage2_backward
     g, h = _G, _H
     hvg = h ** (-v) * g
     checks: list[ProofCheck] = []
@@ -421,7 +447,7 @@ def verify_proof(params: TwistParams) -> ProofReport:
         # and conjugated by psi; both are stored starting with psi letter^-1
         return image.conjugate(psi * phi1[letter] * psi.inverse())
 
-    img1, img2, eq1, eq2, img5 = d.images[:5]
+    img1, img2, eq1, eq2, img5 = images
     add("relator-1-maps-to-identity", img1.is_identity, image=img1)
     add("relator-2-maps-to-identity", img2.is_identity, image=img2)
 
@@ -452,20 +478,20 @@ def verify_proof(params: TwistParams) -> ProofReport:
     template = stated.presentation.relators[0]
     add(
         "final-relator-equals-template",
-        is_conjugate(second_form, d.relator_gh) and final_ab == template,
+        is_conjugate(second_form, eq1.inverse()) and final_ab == template,
         final=final_ab,
         template=template,
     )
     add(
         "longitude-word-matches",
-        d.long_ab == stated.longitude_precorrection,
-        longitude=d.long_ab,
+        long_ab == stated.longitude_precorrection,
+        longitude=long_ab,
         stated=stated.longitude_precorrection,
     )
     add(
         "meridian-correction-gives-stated-form",
-        d.longitude_paper == stated.longitude_paper,
-        replayed=d.longitude_paper,
+        longitude_paper == stated.longitude_paper,
+        replayed=longitude_paper,
         s_paper=stated.s_paper,
     )
     measured = stated.s_corrected - stated.s_paper

@@ -239,7 +239,7 @@ def test_invariant_factors_match_sympy():
     for size in range(10, 31, 5):
         for m, n in ((size, size), (size, size + 3), (size + 3, size)):
             check(sparse_matrix(rng, m, n))
-    # generators x relators, the layout _abelianization_snf builds for a
+    # generators x relators, the layout Presentation._abelianization builds for a
     # presentation with more relators than generators
     rng = random.Random(409)
     for size in range(10, 31, 5):

@@ -25,7 +25,7 @@ from twistknot.presentations import (
     smith_normal_form,
     tietze_eliminate,
 )
-from twistknot.twisted_torus import TwistParams, closed_form
+from twistknot.twisted_torus import TwistParams, closed_form, relator_template
 from twistknot.words import Generator, Word, word
 
 A, B, C = ABC
@@ -363,21 +363,47 @@ def test_alexander_pinned_without_an_oracle():
 def test_alexander_refuses_an_inexact_division(monkeypatch):
     # with the free coordinate doubled, the quotient would be Delta(t^2) / (t + 1),
     # which is no polynomial because Delta(1) = +-1
-    snf = presentations._abelianization_snf
+    snf = presentations.smith_normal_form
 
-    def doubled(p):
-        diag, u, rank = snf(p)
-        return diag, u[:rank] + [[2 * c for c in row] for row in u[rank:]], rank
+    def doubled(columns):
+        diag, u = snf(columns)
+        rank = sum(1 for d in diag if d)
+        return diag, u[:rank] + [[2 * c for c in row] for row in u[rank:]]
 
     cases = (
         TREFOIL,
         Presentation((A, B), (word(("a", 1)),)),
         closed_form(TwistParams(-3, 2)).presentation,
     )
-    monkeypatch.setattr(presentations, "_abelianization_snf", doubled)
+    monkeypatch.setattr(presentations, "smith_normal_form", doubled)
     for p in cases:
+        # an equal presentation whose Smith form is not yet kept
         with pytest.raises(ValueError, match="inexact"):
-            alexander_polynomial(p)
+            alexander_polynomial(Presentation(p.generators, p.relators))
+
+
+def test_a_presentation_computes_its_smith_form_once(monkeypatch):
+    calls = []
+    snf = presentations.smith_normal_form
+
+    def counted(columns):
+        calls.append(columns)
+        return snf(columns)
+
+    relator = relator_template(TwistParams(-3, 2))
+    monkeypatch.setattr(presentations, "smith_normal_form", counted)
+    p, bare = (Presentation((A, B), (relator,)) for _ in range(2))
+    h1_classes(p)(p.relators[0])
+    homology(p)
+    alexander_polynomial(p)
+    assert len(calls) == 1
+    # the kept Smith form is no field: p reads as the equal presentation that has none
+    assert p == bare and hash(p) == hash(bare)
+    assert (p.to_json(), repr(p)) == (bare.to_json(), repr(bare))
+    for twin in (bare, Presentation((A, B), (relator,))):
+        homology(twin)
+        alexander_polynomial(twin)
+    assert len(calls) == 3
 
 
 def test_alexander_conjugation_invariant():

@@ -396,6 +396,30 @@ def test_derivation_builds_no_twist_relator(monkeypatch):
     assert [(derive_from_diagram(p), verify_proof(p)) for p in params] == expected
 
 
+def test_proof_builds_no_twist_image_and_no_ab_relator(monkeypatch):
+    # no check reads the twist fillings' images or the a, b relator, so the
+    # replay builds neither: twist_fillings may fail, and no link relator is
+    # substituted into a, b words
+    params = [TwistParams(u, v) for u, v in ((1, 1), (-3, 0), (0, 2), (40, 7))]
+    expected = [verify_proof(p) for p in params]
+    prefix, _ = _link_prefix()
+    real = Word.substitute
+    into_ab = []
+
+    def watched(self, mapping):
+        image = real(self, mapping)
+        if self in prefix.relators and {"a", "b"} & {g.name for g in image.generator_set()}:
+            into_ab.append(self)
+        return image
+
+    monkeypatch.setattr(twisted_torus, "twist_fillings", _refuse)
+    monkeypatch.setattr(Word, "substitute", watched)
+    assert [verify_proof(p) for p in params] == expected
+    assert into_ab == []
+    with pytest.raises(PresentationError, match="injected"):
+        derive_from_diagram(params[0])
+
+
 # -- the braid closure: Alexander polynomial by reduced Burau ----------------
 # polynomials in t are lists of integer coefficients, lowest power first
 
