@@ -289,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = args.handler(args)
         payload = result if isinstance(result, list) else _to_json(result)
+        # the payload is all that is written: the result's words, and the derivation
+        # its params keep, go before the JSON text is built
+        del result
         if args.ledger is not None:
             records = payload if isinstance(payload, list) else [payload]
             for record in records:

@@ -6,10 +6,11 @@ built-in link (Wirtinger presentation, arc elimination, the images of the two
 twist-region fillings and two changes of generating set) and names its
 intermediates without judging them.  ``derive_from_diagram`` turns them into
 the same model, raising at the first stage that fails.  ``verify_proof``
-builds only the intermediates its checks read, the part both share
-(``_shared_intermediates``), checks them against the paper's stated forms and
-reports which hold, keeping the words it compares as ``Word``s until
-``to_json`` writes them as text.
+reads only the intermediates its checks read, the part both share, checks
+them against the paper's stated forms and reports which hold, keeping the
+words it compares as ``Word``s until ``to_json`` writes them as text.  The
+``TwistParams`` object keeps that shared part (``TwistParams._shared``), so
+the two calls on one object build it once.
 
 The lower twist filling reads ``psi (alpha beta)^u`` while the change of
 generators substitutes ``psi -> (alpha beta)^u``, matching the surgery-slope
@@ -20,7 +21,8 @@ derived model rather than silently discarded.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 from .presentations import Presentation, PresentationError, h1_classes, tietze_eliminate
@@ -50,7 +52,14 @@ _XI_GAMMA = word(("xi", 1), ("gamma", -1))
 
 
 class TwistParams(Record):
-    """``u`` full twists on two strands of the (3, 3v+2) torus knot, ``v >= 0``."""
+    """``u`` full twists on two strands of the (3, 3v+2) torus knot, ``v >= 0``.
+
+    A params object keeps the part of its member's derivation that both
+    ``derive_from_diagram`` and ``verify_proof`` check (``_shared``), once it
+    is first read, so a caller that makes both calls on one object builds it
+    once.  It is no field: equality, hashing, ``repr`` and JSON never see it,
+    and it goes with the object.  A build that raises keeps nothing.
+    """
 
     u: int
     v: int
@@ -62,6 +71,31 @@ class TwistParams(Record):
             raise ValueError(f"u and v must be integers, got {self.u!r} and {self.v!r}")
         if self.v < 0:
             raise ValueError(f"v must be >= 0, got {self.v}")
+
+    @cached_property
+    def _shared(
+        self,
+    ) -> tuple[Presentation, SubstitutionChain, Mapping[str, Word], tuple[Word, ...], Word, Word]:
+        """What both ``derive_from_diagram`` and ``verify_proof`` check:
+        ``(prefix, chain, composite, images, long_ab, longitude_paper)``.
+
+        ``prefix`` is ``_link_prefix()``'s presentation, ``composite`` the
+        read-only map from the link generators to ``a, b`` words (stage 2
+        after stage 1), and ``images`` the stage-1 images of the five link
+        relators, substituted run by run.
+        """
+        prefix, l0 = _link_prefix()
+        chain = substitution_chain(self)
+        phi1, phi2 = chain.stage1_backward, chain.stage2_backward
+        composite = MappingProxyType(_stage1_backward(self, phi2["g"], phi2["h"]))
+        images = tuple(rel.substitute(phi1) for rel in prefix.relators)
+        long_ab = l0.substitute(composite)
+        # rebase: move the leading (ba)^(v+1) block to the end, then add the
+        # paper's two meridian corrections, a^-1 and a^(-3(3v+2)-2u), which
+        # together are a^-s for the paper's s
+        block = _BA ** (self.v + 1)
+        longitude_paper = _A ** (-s_paper_value(self)) * (block.inverse() * long_ab * block)
+        return prefix, chain, composite, images, long_ab, longitude_paper
 
 
 def relator_template(params: TwistParams) -> Word:
@@ -103,12 +137,17 @@ class SubstitutionChain(Record):
     The derivation applies stage 2 only to the images of ``g`` and ``h``:
     homomorphisms of free groups compose, and a reduced word is a normal
     form, so the composite map gives the words the stages give in turn.
+    Each map is held read-only, as a copy of the mapping given.
     """
 
     stage1_forward: Mapping[str, Word]
     stage1_backward: Mapping[str, Word]
     stage2_forward: Mapping[str, Word]
     stage2_backward: Mapping[str, Word]
+
+    def __post_init__(self) -> None:
+        for field in self._fields:
+            object.__setattr__(self, field, MappingProxyType(dict(getattr(self, field))))
 
     def validate(self) -> None:
         """Check the testable composite-identity directions by free reduction."""
@@ -274,11 +313,12 @@ class Derivation(Record):
     ``derive_from_diagram`` checks them.
 
     Computing them makes no judgement: ``derive_from_diagram`` raises at the
-    first stage that fails.  ``verify_proof`` builds only the part it shares
-    with them (``_shared_intermediates``): no twist filling image, no
-    ``relator_ab`` and no ``meridian_ab``.  The ``a, b`` words are read
-    through the composite of the two stages; being reduced, they are the
-    words that ``stage2_backward`` gives on the stage-1 images.
+    first stage that fails.  ``verify_proof`` reads only the part it shares
+    with them, which the params object keeps (``TwistParams._shared``): no
+    twist filling image, no ``relator_ab`` and no ``meridian_ab``.  The
+    ``a, b`` words are read through the composite of the two stages; being
+    reduced, they are the words that ``stage2_backward`` gives on the
+    stage-1 images.
     """
 
     chain: SubstitutionChain
@@ -293,35 +333,10 @@ class Derivation(Record):
     longitude_paper: Word
 
 
-def _shared_intermediates(
-    params: TwistParams,
-) -> tuple[Presentation, SubstitutionChain, dict[str, Word], tuple[Word, ...], Word, Word]:
-    """What both ``derive_from_diagram`` and ``verify_proof`` check:
-    ``(prefix, chain, composite, images, long_ab, longitude_paper)``.
-
-    ``prefix`` is ``_link_prefix()``'s presentation, ``composite`` the map
-    from the link generators to ``a, b`` words (stage 2 after stage 1), and
-    ``images`` the stage-1 images of the five link relators, substituted run
-    by run.
-    """
-    prefix, l0 = _link_prefix()
-    chain = substitution_chain(params)
-    phi1, phi2 = chain.stage1_backward, chain.stage2_backward
-    composite = _stage1_backward(params, phi2["g"], phi2["h"])
-    images = tuple(rel.substitute(phi1) for rel in prefix.relators)
-    long_ab = l0.substitute(composite)
-    # rebase: move the leading (ba)^(v+1) block to the end, then add the
-    # paper's two meridian corrections, a^-1 and a^(-3(3v+2)-2u), which
-    # together are a^-s for the paper's s
-    block = _BA ** (params.v + 1)
-    longitude_paper = _A ** (-s_paper_value(params)) * (block.inverse() * long_ab * block)
-    return prefix, chain, composite, images, long_ab, longitude_paper
-
-
 def derive_intermediates(params: TwistParams) -> Derivation:
     """Run the derivation from the built-in link for one parameter pair.
 
-    To the part ``verify_proof`` also reads (``_shared_intermediates``) it
+    To the part ``verify_proof`` also reads (``TwistParams._shared``) it
     adds what only ``derive_from_diagram`` reads: the images of the two twist
     fillings, the ``a, b`` relator and the meridian.  The twist fillings are
     never built as relators: each filling ``head base^n`` is a power, and a
@@ -338,7 +353,7 @@ def derive_intermediates(params: TwistParams) -> Derivation:
     ``g, h`` word run by run joins ``u`` images of ``O(v)`` runs that mostly
     cancel.
     """
-    prefix, chain, composite, images, long_ab, longitude_paper = _shared_intermediates(params)
+    prefix, chain, composite, images, long_ab, longitude_paper = params._shared
     phi1 = chain.stage1_backward
     images += tuple(
         head.substitute(phi1) * base.substitute(phi1) ** n
@@ -418,19 +433,19 @@ class ProofReport(Record):
 def verify_proof(params: TwistParams) -> ProofReport:
     """Check the derivation's intermediates against the paper's stated forms.
 
-    It builds the part of the derivation that ``derive_from_diagram`` also
-    checks (``_shared_intermediates``), and neither twist filling's image nor
-    the ``a, b`` relator, which no check reads; each call builds that part
-    afresh from ``params``.  Checks 1-5 concern the stage-1 images of the
-    link relators, check 6 the two-generator relator, checks 7-8 the
-    longitude before and after its rebase; the stated forms of checks 6-9
-    are those of ``closed_form``.
+    It reads the part of the derivation that ``derive_from_diagram`` also
+    checks, which ``params`` builds on first read and then keeps
+    (``TwistParams._shared``), and neither twist filling's image nor the
+    ``a, b`` relator, which no check reads.  Checks 1-5 concern the stage-1
+    images of the link relators, check 6 the two-generator relator, checks
+    7-8 the longitude before and after its rebase; the stated forms of
+    checks 6-9 are those of ``closed_form``.
     Check 9 measures the abelianization class of the final longitude, which
     must be 0 for a preferred longitude but comes out as ``2u`` under the
     stated meridian correction.  Failures are data, not errors.
     """
     u, v = params.u, params.v
-    _, chain, _, images, long_ab, longitude_paper = _shared_intermediates(params)
+    _, chain, _, images, long_ab, longitude_paper = params._shared
     stated = closed_form(params)
     phi1, phi2 = chain.stage1_backward, chain.stage2_backward
     g, h = _G, _H

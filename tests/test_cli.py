@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import digest_cli
+import sweep_limits
 from twistknot import cli, criterion, presentations
 from twistknot.cli import build_parser, main
 from twistknot.presentations import Presentation
@@ -745,3 +746,12 @@ def test_oversized_relator_is_refused_before_matching(capsys):
     err = _one_line_error(capsys, argv, 1)
     assert err == "criterion: relator has 960005 letters; shape matching takes at most 100000\n"
     assert time.perf_counter() - start < 5
+
+
+def test_fast_limit_rows_end_in_their_exit_codes():
+    # each call runs in a child capped at 1 GiB and 90 s of CPU; a row that
+    # breaks a cap, exits with another code or writes a traceback is named
+    table = sweep_limits.run([row for row in sweep_limits.ROWS if row.fast])
+    assert {row["call"]: row["failure"] for row in table if row["failure"]} == {}
+    assert {row["exit"] for row in table} == {0, 1, 2}
+    assert all(row["cpu_s"] > 0 and row["max_rss_mib"] > 0 for row in table)

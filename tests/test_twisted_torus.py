@@ -1,8 +1,10 @@
+import gc
 import itertools
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ import pytest
 from conftest import twisted_torus_braid
 from sweep_derivation import check_member, sample
 import twistknot
-from twistknot import twisted_torus
+from twistknot import twisted_torus, words
 from twistknot.cli import main
 from twistknot.presentations import (
     Presentation,
@@ -229,7 +231,85 @@ def test_link_prefix_is_computed_once():
     verify_proof(params)
     after = _link_prefix.cache_info()
     assert after.misses == before.misses
-    assert after.hits == before.hits + 2
+    # the params object keeps the shared derivation, so verify_proof reads it
+    assert after.hits == before.hits + 1
+
+
+def test_params_keep_the_shared_derivation_once(monkeypatch):
+    # one params object: derive_from_diagram then verify_proof build the
+    # shared part once; an equal but distinct object builds its own
+    real = twisted_torus.substitution_chain
+    built = []
+
+    def counted(params):
+        built.append(params)
+        return real(params)
+
+    monkeypatch.setattr(twisted_torus, "substitution_chain", counted)
+    params, twin = TwistParams(3, 2), TwistParams(3, 2)
+    derive_from_diagram(params)
+    verify_proof(params)
+    assert built == [params] and built[0] is params
+    derive_from_diagram(twin)
+    assert len(built) == 2 and built[1] is twin
+
+
+def test_kept_derivation_is_no_field():
+    params, fresh = TwistParams(-4, 3), TwistParams(-4, 3)
+    before = (params == fresh, hash(params), repr(params), params.to_json())
+    assert "_shared" not in vars(params)
+    model = derive_from_diagram(params)
+    assert "_shared" in vars(params)
+    assert (params == fresh, hash(params), repr(params), params.to_json()) == before
+    assert model == derive_from_diagram(fresh)
+    assert model.to_json() == derive_from_diagram(TwistParams(-4, 3)).to_json()
+
+
+def test_kept_maps_are_read_only():
+    params = TwistParams(2, 1)
+    d = derive_intermediates(params)
+    _, chain, composite, *_ = params._shared
+    assert chain is d.chain
+    maps = [composite, *(getattr(chain, field) for field in chain._fields)]
+    for mapping in maps:
+        with pytest.raises(TypeError):
+            mapping["alpha"] = word(("a", 1))
+    expected = verify_proof(TwistParams(2, 1))
+    assert verify_proof(params) == expected
+
+
+def test_a_refused_member_keeps_nothing(monkeypatch):
+    # a word-cap refusal raises again on the second call, and a stage that
+    # fails once and then holds builds the derivation afresh
+    monkeypatch.setattr(words, "MAX_WORD_RUNS", 60)
+    params = TwistParams(0, 40)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="word too long"):
+            verify_proof(params)
+        assert "_shared" not in vars(params)
+    monkeypatch.undo()
+    params = TwistParams(1, 1)
+    _link_prefix.cache_clear()
+    monkeypatch.setattr(twisted_torus, "tietze_eliminate", _refuse)
+    try:
+        for _ in range(2):
+            with pytest.raises(PipelineError, match=r"^\[eliminate-deltas\] injected$"):
+                derive_from_diagram(params)
+            assert "_shared" not in vars(params)
+    finally:
+        _link_prefix.cache_clear()
+    monkeypatch.undo()
+    assert derive_from_diagram(params) == derive_from_diagram(TwistParams(1, 1))
+
+
+def test_kept_derivation_goes_with_its_params():
+    params = TwistParams(5, 3)
+    derive_from_diagram(params)
+    verify_proof(params)
+    ref = weakref.ref(params)
+    del params
+    gc.collect()
+    assert ref() is None
 
 
 def test_model_and_proof_read_one_derivation():
@@ -389,19 +469,24 @@ def test_derivation_fails_at_the_named_stage(monkeypatch, capsys, name, replacem
 def test_derivation_builds_no_twist_relator(monkeypatch):
     # the twist fillings come from twist_fillings, so add_twist_relations,
     # the reference of the filling images, may fail without effect
-    params = [TwistParams(u, v) for u, v in ((1, 1), (-3, 0), (0, 2))]
-    expected = [(derive_from_diagram(p), verify_proof(p)) for p in params]
+    # each pass builds its own params, so no derivation is kept across the patch
+    def replayed():
+        params = [TwistParams(u, v) for u, v in ((1, 1), (-3, 0), (0, 2))]
+        return [(derive_from_diagram(p), verify_proof(p)) for p in params]
+
+    expected = replayed()
     for module in (twisted_torus, twistknot.wirtinger, twistknot):
         monkeypatch.setattr(module, "add_twist_relations", _refuse, raising=False)
-    assert [(derive_from_diagram(p), verify_proof(p)) for p in params] == expected
+    assert replayed() == expected
 
 
 def test_proof_builds_no_twist_image_and_no_ab_relator(monkeypatch):
     # no check reads the twist fillings' images or the a, b relator, so the
     # replay builds neither: twist_fillings may fail, and no link relator is
-    # substituted into a, b words
-    params = [TwistParams(u, v) for u, v in ((1, 1), (-3, 0), (0, 2), (40, 7))]
-    expected = [verify_proof(p) for p in params]
+    # substituted into a, b words; each pass builds its own params, so no
+    # derivation is kept across the patch
+    members = ((1, 1), (-3, 0), (0, 2), (40, 7))
+    expected = [verify_proof(TwistParams(u, v)) for u, v in members]
     prefix, _ = _link_prefix()
     real = Word.substitute
     into_ab = []
@@ -414,10 +499,10 @@ def test_proof_builds_no_twist_image_and_no_ab_relator(monkeypatch):
 
     monkeypatch.setattr(twisted_torus, "twist_fillings", _refuse)
     monkeypatch.setattr(Word, "substitute", watched)
-    assert [verify_proof(p) for p in params] == expected
+    assert [verify_proof(TwistParams(u, v)) for u, v in members] == expected
     assert into_ab == []
     with pytest.raises(PresentationError, match="injected"):
-        derive_from_diagram(params[0])
+        derive_from_diagram(TwistParams(1, 1))
 
 
 # -- the braid closure: Alexander polynomial by reduced Burau ----------------
