@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from math import prod
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -201,10 +202,7 @@ class HomologySummary(Record):
 
     @property
     def torsion_order_product(self) -> int:
-        out = 1
-        for d in self.torsion_orders:
-            out *= d
-        return out
+        return prod(self.torsion_orders)
 
     def to_json(self) -> dict:
         return {"torsion": list(self.torsion_orders), "rank": self.free_rank}

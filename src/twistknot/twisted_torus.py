@@ -1,16 +1,13 @@
 """The two-strand twisted torus knot family.
 
 ``closed_form`` builds the two-generator knot group model directly from the
-parametric templates.  ``derive_intermediates`` runs the derivation from the
+parametric templates.  ``derive_from_diagram`` derives the same model from the
 built-in link (Wirtinger presentation, arc elimination, the images of the two
-twist-region fillings and two changes of generating set) and names its
-intermediates without judging them.  ``derive_from_diagram`` turns them into
-the same model, raising at the first stage that fails.  ``verify_proof``
-reads only the intermediates its checks read, the part both share, checks
-them against the paper's stated forms and reports which hold, keeping the
-words it compares as ``Word``s until ``to_json`` writes them as text.  The
-``TwistParams`` object keeps that shared part (``TwistParams._shared``), so
-the two calls on one object build it once.
+twist-region fillings and two changes of generating set), raising at the
+first stage that fails.  ``verify_proof`` checks the derivation's
+intermediates against the paper's stated forms and reports which hold,
+keeping the words it compares as ``Word``s until ``to_json`` writes them as
+text.  Both read the part of the derivation that ``TwistParams`` keeps.
 
 The lower twist filling reads ``psi (alpha beta)^u`` while the change of
 generators substitutes ``psi -> (alpha beta)^u``, matching the surgery-slope
@@ -82,7 +79,9 @@ class TwistParams(Record):
         ``prefix`` is ``_link_prefix()``'s presentation, ``composite`` the
         read-only map from the link generators to ``a, b`` words (stage 2
         after stage 1), and ``images`` the stage-1 images of the five link
-        relators, substituted run by run.
+        relators, substituted run by run.  Through ``composite`` each ``a, b``
+        word costs its own runs, ``O(u + v)``; rewriting a long ``g, h`` word
+        run by run joins ``u`` images of ``O(v)`` runs that mostly cancel.
         """
         prefix, l0 = _link_prefix()
         chain = substitution_chain(self)
@@ -308,93 +307,53 @@ def _link_prefix() -> tuple[Presentation, Word]:
     return p, longitude
 
 
-class Derivation(Record):
-    """Named intermediates of the derivation for one member, as
-    ``derive_from_diagram`` checks them.
+def derive_from_diagram(params: TwistParams) -> KnotGroupModel:
+    """Derive the knot group model from the built-in link diagram.
 
-    Computing them makes no judgement: ``derive_from_diagram`` raises at the
-    first stage that fails.  ``verify_proof`` reads only the part it shares
-    with them, which the params object keeps (``TwistParams._shared``): no
-    twist filling image, no ``relator_ab`` and no ``meridian_ab``.  The
-    ``a, b`` words are read through the composite of the two stages; being
-    reduced, they are the words that ``stage2_backward`` gives on the
-    stage-1 images.
-    """
-
-    chain: SubstitutionChain
-    #: stage-1 images of seven relators: the five link relators of
-    #: ``_link_prefix``, then the two twist fillings of ``twist_fillings``;
-    #: 2 and 3 are the two surviving equations, 6 is the twist residue
-    images: tuple[Word, ...]
-    relator_gh: Word
-    relator_ab: Word
-    meridian_ab: Word
-    long_ab: Word
-    longitude_paper: Word
-
-
-def derive_intermediates(params: TwistParams) -> Derivation:
-    """Run the derivation from the built-in link for one parameter pair.
-
-    To the part ``verify_proof`` also reads (``TwistParams._shared``) it
-    adds what only ``derive_from_diagram`` reads: the images of the two twist
-    fillings, the ``a, b`` relator and the meridian.  The twist fillings are
-    never built as relators: each filling ``head base^n`` is a power, and a
-    homomorphism sends it to ``image(head) image(base)^n`` (the factored
-    forms of ``twist_fillings``).  Its image costs the runs of that power,
-    where the stored relator alone holds ``|n|`` runs of ``base`` (at
-    ``v = 0`` the lower filling maps to the one run ``g^(2u)``).
-
-    The ``a, b`` words come from one map, stage 2 after stage 1: the stage-1
-    images of the link generators built from the ``a, b`` words of ``g`` and
-    ``h``.  Free group homomorphisms compose and a reduced word is a normal
-    form, so these are the words the two stages give one after the other.
-    Built this way each costs its own runs, ``O(u + v)``; rewriting a long
-    ``g, h`` word run by run joins ``u`` images of ``O(v)`` runs that mostly
-    cancel.
+    It raises at the first stage that fails.  To the part of the derivation
+    that ``params`` keeps it adds what only the model reads: the images of
+    the two twist fillings, the ``a, b`` relator and the meridian.
+    The twist fillings are never built as relators: each filling
+    ``head base^n`` is a power, and a homomorphism sends it to
+    ``image(head) image(base)^n`` (the factored forms of ``twist_fillings``).
+    Its image costs the runs of that power, where the stored relator alone
+    holds ``|n|`` runs of ``base`` (at ``v = 0`` the lower filling maps to
+    the one run ``g^(2u)``).  The upper filling's image must die; the lower
+    one's is the model's ``twist_residue``.
     """
     prefix, chain, composite, images, long_ab, longitude_paper = params._shared
     phi1 = chain.stage1_backward
-    images += tuple(
+    upper, lower = (
         head.substitute(phi1) * base.substitute(phi1) ** n
         for head, base, n in twist_fillings(params.u, params.v)
     )
-    # the strand component's first arc alpha is its meridian
-    meridian_ab = composite["alpha"]
-    relator_gh = images[2].inverse()
     relator_ab = prefix.relators[2].substitute(composite).inverse()
-    return Derivation(
-        chain, images, relator_gh, relator_ab, meridian_ab, long_ab, longitude_paper
-    )
-
-
-def derive_from_diagram(params: TwistParams) -> KnotGroupModel:
-    """Derive the knot group model from the built-in link diagram."""
-    d = derive_intermediates(params)
     try:
-        d.chain.validate()
+        chain.validate()
     except ValueError as exc:
         raise PipelineError("change-generators", str(exc)) from exc
-    for idx in (0, 1, 4, 5):
-        if not d.images[idx].is_identity:
+    rel1, rel2, eq1, eq2, rel5 = images
+    for number, image in ((1, rel1), (2, rel2), (5, rel5), (6, upper)):
+        if not image.is_identity:
             raise PipelineError(
                 "change-generators",
-                f"relator {idx + 1} should map to the identity, got {d.images[idx].as_text()}",
+                f"relator {number} should map to the identity, got {image.as_text()}",
             )
-    if not is_conjugate(d.images[2], d.images[3].inverse()):
+    if not is_conjugate(eq1, eq2.inverse()):
         raise PipelineError(
             "change-generators", "surviving relators are not inverse-equivalent"
         )
-    if not is_conjugate(d.meridian_ab, _A):
+    # the strand component's first arc alpha is its meridian
+    if not is_conjugate(composite["alpha"], _A):
         raise PipelineError("two-generator", "meridian image is not conjugate to a")
     return _assemble_model(
         params,
-        Presentation(("a", "b"), (d.relator_ab,)),
+        Presentation(("a", "b"), (relator_ab,)),
         w_template(params),
-        d.longitude_paper,
-        d.long_ab,
+        longitude_paper,
+        long_ab,
         derived=True,
-        twist_residue=d.images[6],
+        twist_residue=lower,
     )
 
 
@@ -433,13 +392,11 @@ class ProofReport(Record):
 def verify_proof(params: TwistParams) -> ProofReport:
     """Check the derivation's intermediates against the paper's stated forms.
 
-    It reads the part of the derivation that ``derive_from_diagram`` also
-    checks, which ``params`` builds on first read and then keeps
-    (``TwistParams._shared``), and neither twist filling's image nor the
-    ``a, b`` relator, which no check reads.  Checks 1-5 concern the stage-1
-    images of the link relators, check 6 the two-generator relator, checks
-    7-8 the longitude before and after its rebase; the stated forms of
-    checks 6-9 are those of ``closed_form``.
+    It reads ``TwistParams._shared`` and builds neither twist filling's
+    image nor the ``a, b`` relator, which no check reads.  Checks 1-5
+    concern the stage-1 images of the link relators, check 6 the
+    two-generator relator, checks 7-8 the longitude before and after its
+    rebase; the stated forms of checks 6-9 are those of ``closed_form``.
     Check 9 measures the abelianization class of the final longitude, which
     must be 0 for a preferred longitude but comes out as ``2u`` under the
     stated meridian correction.  Failures are data, not errors.

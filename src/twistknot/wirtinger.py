@@ -81,6 +81,8 @@ class LinkDiagram(Record):
         flat = [a for comp in components for a in comp]
         if not all(is_name(n) for n in [*self.arcs, *flat, *names]):
             raise DiagramError("arc and component names must be nonempty strings")
+        if not all(components):
+            raise DiagramError("every component needs at least one arc")
         if len(self.component_names) != len(self.components):
             raise DiagramError("one name per component required")
         if len(set(self.component_names)) != len(self.component_names):

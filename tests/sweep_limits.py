@@ -70,9 +70,14 @@ ROWS = (
     Row("derive_from_diagram + verify_proof at (3000, 3000)", ("-c", _REPLAY), 0, True),
     _cli(1, "bound", "--u", 0, "--v", 139264, fast=True),
     _cli(2, "generate", "--u", 1, fast=True),
+    _cli(1, "alexander", "--u", 499999, "--v", 0, fast=True),
+    _cli(1, "generate", "--u", 0, "--v", 31250, fast=True),
+    _cli(1, "check-slope", "--u", 50000, "--v", 0, "--p", 3, "--q", 1, fast=True),
+    _cli(1, "enumerate", "--u", 1, "--v", 0, "--p", 3, "--q", 1, "--max-cosets", 10**7 + 1,
+         fast=True),
     _cli(0, "generate", "--mode", "derive", "--u", 20000, "--v", 20000),
     _cli(0, "verify-proof", "--u", 20000, "--v", 20000),
-    _cli(0, "generate", "--u", 0, "--v", 31000),
+    _cli(0, "generate", "--u", 0, "--v", 31249),
     _cli(1, "generate", "--mode", "derive", "--u", 50, "--v", 90000),
     _cli(1, "verify-proof", "--u", 99999, "--v", 99999),
     _cli(0, "alexander", "--u", 499998, "--v", 0),

@@ -712,6 +712,15 @@ def test_repeated_component_names_exit_1(tmp_path, capsys):
     assert err == "wirtinger: component names must be distinct\n"
 
 
+def test_empty_component_exits_1(tmp_path, capsys):
+    data = {"arcs": ["x"], "components": [["x"], []],
+            "crossings": [{"id": "C", "over": "x", "under_in": "x", "under_out": "x", "sign": 1}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    err = _one_line_error(capsys, ["wirtinger", "--diagram", str(path)], 1)
+    assert err == "wirtinger: every component needs at least one arc\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -13,7 +13,6 @@ from twistknot.presentations import homology
 from twistknot.twisted_torus import (
     TwistParams,
     closed_form,
-    derive_intermediates,
     substitution_chain,
     verify_proof,
 )
@@ -31,7 +30,7 @@ def _samples() -> list:
     return [
         params, Slope(5, 1), model, model.presentation, homology(model.presentation),
         link, link.crossings[0], peripheral_system(link, link.component_names[0]),
-        substitution_chain(params), derive_intermediates(params), proof, proof.checks[0],
+        substitution_chain(params), proof, proof.checks[0],
         report, report.shape, report.verdict,
         todd_coxeter(surgered_presentation(closed_form(TwistParams(0, 0)), Slope(5, 1)), 3000),
     ]
@@ -44,7 +43,7 @@ IDS = [type(record).__name__ for record in SAMPLES]
 def test_every_record_class_has_a_sample():
     package = {cls for cls in Record.__subclasses__() if cls.__module__.startswith("twistknot.")}
     assert {type(record) for record in SAMPLES} == package
-    assert len(SAMPLES) == 16
+    assert len(SAMPLES) == 15
 
 
 @pytest.mark.parametrize("record", SAMPLES, ids=IDS)
@@ -135,7 +134,7 @@ def test_a_field_without_default_may_not_follow_one_with():
 
 
 #: records that reach no JSON output: the CLI and ``diagram_to_json`` write none of them
-UNWRITTEN = {"SubstitutionChain", "Derivation", "PeripheralSystem"}
+UNWRITTEN = {"SubstitutionChain", "PeripheralSystem"}
 WRITTEN = [record for record in SAMPLES if type(record).__name__ not in UNWRITTEN]
 #: the keys a record's JSON holds beside the record rule's, as README documents them
 EXTRAS = {"ITShape": {"text"}, "KnotGroupModel": {"text"}, "CriterionReport": {"w_text"},

@@ -28,7 +28,6 @@ from twistknot.twisted_torus import (
     _link_prefix,
     closed_form,
     derive_from_diagram,
-    derive_intermediates,
     relator_template,
     s_paper_value,
     substitution_chain,
@@ -267,9 +266,8 @@ def test_kept_derivation_is_no_field():
 
 def test_kept_maps_are_read_only():
     params = TwistParams(2, 1)
-    d = derive_intermediates(params)
+    derive_from_diagram(params)
     _, chain, composite, *_ = params._shared
-    assert chain is d.chain
     maps = [composite, *(getattr(chain, field) for field in chain._fields)]
     for mapping in maps:
         with pytest.raises(TypeError):
@@ -315,28 +313,27 @@ def test_kept_derivation_goes_with_its_params():
 def test_model_and_proof_read_one_derivation():
     # the oracle is the stage-by-stage path: stage 2 applied run by run to
     # the stage-1 words; the derivation applies the two stages as one map
-    _, l0 = _link_prefix()
+    prefix, l0 = _link_prefix()
     g, h = word(("g", 1)), word(("h", 1))
     for u, v in itertools.product((-40, -12, -2, 0, 3, 37), (0, 1, 2, 9, 30)):
         params = TwistParams(u, v)
-        d = derive_intermediates(params)
         model = derive_from_diagram(params)
         report = verify_proof(params)
-        phi1, phi2 = d.chain.stage1_backward, d.chain.stage2_backward
+        _, chain, kept, images, long_ab, longitude_paper = params._shared
+        phi1, phi2 = chain.stage1_backward, chain.stage2_backward
         composite = twisted_torus._stage1_backward(params, phi2["g"], phi2["h"])
         assert composite == {x: image.substitute(phi2) for x, image in phi1.items()}
-        assert d.relator_ab == d.relator_gh.substitute(phi2)
-        assert d.long_ab == l0.substitute(phi1).substitute(phi2)
-        assert d.meridian_ab == phi1["alpha"].substitute(phi2)
+        assert kept == composite
+        assert long_ab == l0.substitute(phi1).substitute(phi2)
         hvg = h ** (-v) * g
         second_form = h ** (v + 1) * g.inverse() * hvg ** (-u) * g ** (-2) * h ** (2 * v + 1) * hvg**u
         assert report.check(6).details["final"] == second_form.substitute(phi2)
-        assert model.presentation.relators == (d.relator_ab,)
-        assert model.longitude_precorrection == d.long_ab
-        assert model.longitude_paper == d.longitude_paper
-        assert model.twist_residue == d.images[6]
-        assert report.check(7).details["longitude"] == d.long_ab
-        assert report.check(8).details["replayed"] == d.longitude_paper
+        assert model.presentation.relators == (images[2].inverse().substitute(phi2),)
+        assert model.longitude_precorrection == long_ab
+        assert model.longitude_paper == longitude_paper
+        assert model.twist_residue == _twist_images(prefix, params, phi1)[1]
+        assert report.check(7).details["longitude"] == long_ab
+        assert report.check(8).details["replayed"] == longitude_paper
         assert report.check(9).details["measured_class"] == 2 * u
 
 
@@ -355,10 +352,17 @@ def test_twist_filling_images_equal_the_substituted_relators():
     prefix, _ = _link_prefix()
     members = list(itertools.product(range(-40, 41), range(13)))
     for u, v in members + [(20000, 0), (-20000, 0), (3, 5000)]:
-        d = derive_intermediates(TwistParams(u, v))
-        phi1 = d.chain.stage1_backward
-        stored = add_twist_relations(prefix, u, v).relators[5:]
-        assert d.images[5:] == tuple(rel.substitute(phi1) for rel in stored), (u, v)
+        params = TwistParams(u, v)
+        model = derive_from_diagram(params)
+        upper, lower = _twist_images(prefix, params, params._shared[1].stage1_backward)
+        # the derivation refuses a member whose upper image is not the identity
+        assert upper.is_identity and model.twist_residue == lower, (u, v)
+
+
+def _twist_images(prefix, params, phi1):
+    """The images of the stored twist relators, substituted run by run."""
+    stored = add_twist_relations(prefix, params.u, params.v).relators[5:]
+    return tuple(rel.substitute(phi1) for rel in stored)
 
 
 def test_derivation_maps_a_twist_filling_through_its_base(monkeypatch):
@@ -462,6 +466,50 @@ def test_derivation_fails_at_the_named_stage(monkeypatch, capsys, name, replacem
         assert main(["generate", "--u", "1", "--v", "1", "--mode", "derive"]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"twisted_torus: [{stage}] {message}\n")
+    finally:
+        _link_prefix.cache_clear()
+
+
+_NOT_DYING = _replace_link_relator(0, lambda rels: word(("alpha", 1)))
+
+
+@pytest.mark.parametrize(
+    "faults, error, message",
+    [
+        (
+            [(twisted_torus, "substitution_chain", _chain_with_wrong_stage2_forward),
+             (twisted_torus, "_link_prefix", _NOT_DYING)],
+            PipelineError,
+            "[change-generators] stage 2 does not invert on b: b a b",
+        ),
+        (
+            [(twisted_torus, "_link_prefix", _NOT_DYING),
+             (twisted_torus, "is_conjugate", _meridian_not_conjugate)],
+            PipelineError,
+            "[change-generators] relator 1 should map to the identity, got h^2 g^-1",
+        ),
+        # at (1, 1) a cap of 12 runs lets the kept part build and refuses a
+        # twist image or the a, b relator, both built before the chain is checked
+        (
+            [(words, "MAX_WORD_RUNS", 12),
+             (twisted_torus, "substitution_chain", _chain_with_wrong_stage2_forward)],
+            ValueError,
+            "word too long: up to 15 runs, over the cap of 12",
+        ),
+    ],
+    ids=["inversion-before-relator", "relator-before-meridian", "word-cap-before-inversion"],
+)
+def test_two_faults_fail_at_the_earlier_stage(monkeypatch, faults, error, message):
+    _link_prefix.cache_clear()
+    for module, name, replacement in faults:
+        monkeypatch.setattr(module, name, replacement)
+    params = TwistParams(1, 1)
+    try:
+        with pytest.raises(error) as err:
+            derive_from_diagram(params)
+        assert str(err.value) == message
+        # both faults lie past the kept part, which was built
+        assert "_shared" in vars(params)
     finally:
         _link_prefix.cache_clear()
 

@@ -365,6 +365,13 @@ def test_diagram_from_json_refuses_an_inconsistent_diagram(path, value, message)
     assert str(err.value) == message
 
 
+def test_diagram_refuses_an_empty_component():
+    # a component with no arcs has no meridian for peripheral_system to read;
+    # every other check passes on this diagram
+    with pytest.raises(DiagramError, match="^every component needs at least one arc$"):
+        diagram_from_json({"arcs": [], "components": [[]], "crossings": []})
+
+
 def test_diagram_refuses_repeated_component_names():
     data = diagram_to_json(builtin_link_L())
     data["component_names"] = ["l0", "l0", "l2"]
