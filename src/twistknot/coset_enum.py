@@ -70,7 +70,7 @@ def todd_coxeter(p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> Enume
         raise PresentationError(f"max_cosets must be an integer, got {max_cosets!r}")
     if not 1 <= max_cosets <= MAX_COSET_BUDGET:
         raise PresentationError(f"max_cosets must be between 1 and {MAX_COSET_BUDGET}")
-    letters = sum(len(r) for r in p.relators)
+    letters = sum(abs(e) for r in p.relators for _, e in r.runs)
     if letters > MAX_RELATOR_LETTERS:
         raise PresentationError(
             f"relators have {letters} letters in all; coset enumeration takes at most "

@@ -136,9 +136,10 @@ def _shape_core(p: Presentation) -> Word:
             f"shape matching requires exactly 1 relator, got {len(p.relators)}"
         )
     core, _ = p.relators[0].cyclic_reduce()
-    if len(core) > MAX_SHAPE_LETTERS:
+    letters = sum(abs(e) for _, e in core.runs)
+    if letters > MAX_SHAPE_LETTERS:
         raise CriterionError(
-            f"relator has {len(core)} letters; shape matching takes at most {MAX_SHAPE_LETTERS}"
+            f"relator has {letters} letters; shape matching takes at most {MAX_SHAPE_LETTERS}"
         )
     return core
 

@@ -13,7 +13,6 @@ Crowell-Fox, ch. VII), an exact division computed in one dense pass.
 from __future__ import annotations
 
 from functools import cached_property
-from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import prod
 from operator import mul
@@ -296,21 +295,13 @@ class LaurentPolynomial:
             return LaurentPolynomial()
         shift_n = min(self.coeffs)
         shift_d = min(other.coeffs)
-        num = {e - shift_n: c for e, c in self.coeffs.items()}
+        rem = {e - shift_n: c for e, c in self.coeffs.items()}
         den = {e - shift_d: c for e, c in other.coeffs.items()}
         deg_d = max(den)
         lead_d = den[deg_d]
         quo: dict[int, int] = {}
-        rem = dict(num)
-        # the remainder's degrees on a max-heap (negated).  Each step clears the
-        # top degree and only touches lower ones, so a popped degree that is no
-        # longer in ``rem`` (it cancelled, or it was pushed twice) is skipped
-        heap = [-e for e in rem]
-        heapify(heap)
-        while heap:
-            deg_r = -heappop(heap)
-            if deg_r not in rem:
-                continue
+        while rem:
+            deg_r = max(rem)
             if deg_r < deg_d:
                 break
             lead_r = rem[deg_r]
@@ -320,13 +311,9 @@ class LaurentPolynomial:
             quo[deg_r - deg_d] = q
             for e, c in den.items():
                 k = e + deg_r - deg_d
-                if k in rem:
-                    rem[k] -= q * c
-                    if not rem[k]:
-                        del rem[k]
-                else:
-                    rem[k] = -q * c
-                    heappush(heap, -k)
+                rem[k] = rem.get(k, 0) - q * c
+                if not rem[k]:
+                    del rem[k]
         if rem:
             raise ValueError("inexact Laurent division")
         return LaurentPolynomial({e + shift_n - shift_d: c for e, c in quo.items()})

@@ -77,24 +77,18 @@ class Record:
         elif not args and kwargs.keys() == self._field_set:  # every field named
             self.__dict__.update(kwargs)
         else:
-            self.__dict__.update(self._bind(args, kwargs))
+            # some fields left to their defaults, or named; TypeError on a
+            # field missing, unknown or given twice, or too many arguments
+            values = dict(zip(fields[len(fields) - len(self._defaults):], self._defaults))
+            values.update(zip(fields, args))
+            values.update(kwargs)
+            if (len(args) > len(fields) or values.keys() != set(fields)
+                    or not kwargs.keys().isdisjoint(fields[:len(args)])):
+                raise TypeError(
+                    f"{type(self).__name__}() takes the fields ({', '.join(fields)}); "
+                    f"got {len(args)} positional argument(s) and keywords {sorted(kwargs)}")
+            self.__dict__.update(values)
         self.__post_init__()
-
-    def _bind(self, args: tuple, kwargs: dict):
-        """``(field, value)`` pairs from a call that leaves fields to their
-        defaults or names some of them; ``TypeError`` on a field missing,
-        unknown or given twice, or too many arguments."""
-        fields, defaults = self._fields, self._defaults
-        if not kwargs and 0 < len(fields) - len(args) <= len(defaults):
-            return zip(fields, args + defaults[len(args) - len(fields):])
-        values = dict(zip(fields[len(fields) - len(defaults):], defaults))
-        values.update(zip(fields, args))
-        values.update(kwargs)
-        if (len(args) > len(fields) or values.keys() != set(fields)
-                or not kwargs.keys().isdisjoint(fields[:len(args)])):
-            raise TypeError(f"{type(self).__name__}() takes the fields ({', '.join(fields)}); "
-                            f"got {len(args)} positional argument(s) and keywords {sorted(kwargs)}")
-        return values
 
     def __post_init__(self) -> None:
         pass
@@ -197,9 +191,6 @@ def _reduce_runs(pairs: Iterable[tuple[str, int]]) -> tuple[tuple[Generator, int
 def _join(out: list[tuple[Generator, int]], runs: Sequence[tuple[Generator, int]]) -> None:
     """Append the reduced ``runs`` to the reduced run list ``out``, cancelling or
     merging only where the two meet."""
-    if not out or not runs or out[-1][0] != runs[0][0]:
-        out.extend(runs)
-        return
     i = 0
     while out and i < len(runs) and out[-1][0] == runs[i][0]:
         gen, merged = runs[i][0], out.pop()[1] + runs[i][1]
@@ -252,6 +243,8 @@ class Word:
         return hash(self.runs)
 
     def __len__(self) -> int:
+        """The number of letters.  ``len()`` stops at ``sys.maxsize`` (it raises
+        ``OverflowError`` past it), so a cap on letters sums the runs itself."""
         return sum([abs(e) for _, e in self.runs])
 
     def __bool__(self) -> bool:
@@ -333,26 +326,21 @@ class Word:
     def substitute(self, mapping: Mapping[Generator, "Word"]) -> "Word":
         """Image under the homomorphism sending each generator to its value.
 
-        Each distinct run ``x^e`` is raised to its image ``x_image ** e`` once per
-        call (``x_image`` or its inverse for ``e = ±1``), and the images are
-        joined onto one run list, which reduces only where they meet.
+        Each run ``x^e`` is raised to its image ``x_image ** e`` (``x_image`` or
+        its inverse for ``e = ±1``), and the images are joined onto one run
+        list, which reduces only where they meet.
         ``ValueError`` if the image could hold more than ``MAX_WORD_RUNS`` runs.
         """
-        images: dict[tuple[Generator, int], tuple] = {}
         out: list[tuple[Generator, int]] = []
-        for run in self.runs:
-            image = images.get(run)
-            if image is None:
-                gen, exp = run
-                if gen not in mapping:
-                    raise SubstitutionError(f"no image given for generator {gen.name!r}")
-                if exp == 1:
-                    image = mapping[gen].runs
-                elif exp == -1:
-                    image = _inverse_runs(mapping[gen].runs)
-                else:
-                    image = (mapping[gen] ** exp).runs
-                images[run] = image
+        for gen, exp in self.runs:
+            if gen not in mapping:
+                raise SubstitutionError(f"no image given for generator {gen.name!r}")
+            if exp == 1:
+                image = mapping[gen].runs
+            elif exp == -1:
+                image = _inverse_runs(mapping[gen].runs)
+            else:
+                image = (mapping[gen] ** exp).runs
             if len(out) + len(image) > MAX_WORD_RUNS:
                 raise _over_cap(len(out) + len(image))
             if out and image and out[-1][0] == image[0][0]:

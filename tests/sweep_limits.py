@@ -75,6 +75,8 @@ ROWS = (
     _cli(1, "check-slope", "--u", 50000, "--v", 0, "--p", 3, "--q", 1, fast=True),
     _cli(1, "enumerate", "--u", 1, "--v", 0, "--p", 3, "--q", 1, "--max-cosets", 10**7 + 1,
          fast=True),
+    _cli(1, "check-slope", "--u", 10**19, "--v", 0, "--p", 3, "--q", 1, fast=True),
+    _cli(1, "enumerate", "--u", 0, "--v", 0, "--p", 10**19, "--q", 1, fast=True),
     _cli(0, "generate", "--mode", "derive", "--u", 20000, "--v", 20000),
     _cli(0, "verify-proof", "--u", 20000, "--v", 20000),
     _cli(0, "generate", "--u", 0, "--v", 31249),

@@ -260,6 +260,9 @@ def test_wirtinger_minimal_schema_diagram(tmp_path, capsys):
     [
         ["enumerate", "--u", "100000000", "--v", "0", "--p", "1", "--q", "1"],
         ["enumerate", "--u", "0", "--v", "0", "--p", "100000000", "--q", "1"],
+        # more letters than sys.maxsize, which len() cannot count
+        ["enumerate", "--u", str(10**19), "--v", "0", "--p", "3", "--q", "1"],
+        ["enumerate", "--u", "0", "--v", "0", "--p", str(10**19), "--q", "1"],
     ],
 )
 def test_enumerate_overlong_relators_exit_1(capsys, argv):
@@ -539,8 +542,9 @@ def test_verify_proof_displays_psi_rotated_equations(capsys):
 _PARSER = build_parser()
 #: subcommand name -> its parser
 _SUBPARSERS = next(a.choices for a in _PARSER._actions if isinstance(a.choices, dict))
-# integers stay in [-8, 8] because check-slope's shape matching costs Theta(u^2)
-_INT = st.integers(-8, 8).map(str)
+# small integers stay in [-8, 8] because check-slope's shape matching costs
+# Theta(u^2); the huge ones lie past sys.maxsize, where len() stops
+_INT = (st.integers(-8, 8) | st.sampled_from([10**19, -10**19, 2**63, -2**63])).map(str)
 _JUNK = st.sampled_from(["x", "", "1.5", "--"])
 #: any single token: a subcommand, any parser's flag, an integer or junk
 _ANY = _INT | _JUNK | st.sampled_from(
@@ -755,6 +759,11 @@ def test_oversized_relator_is_refused_before_matching(capsys):
     err = _one_line_error(capsys, argv, 1)
     assert err == "criterion: relator has 960005 letters; shape matching takes at most 100000\n"
     assert time.perf_counter() - start < 5
+    # more letters than sys.maxsize, which len() cannot count
+    argv = ["check-slope", "--u", str(10**19), "--v", "0", "--p", "3", "--q", "1"]
+    err = _one_line_error(capsys, argv, 1)
+    assert err == ("criterion: relator has 20000000000000000005 letters; "
+                   "shape matching takes at most 100000\n")
 
 
 def test_fast_limit_rows_end_in_their_exit_codes():

@@ -609,6 +609,12 @@ def test_huge_exponent_conjugacy_and_cyclic_reduce():
     assert peeled.cyclic_reduce() == (word(("a", 1), ("b", 1)), word(("a", N_HUGE - 1)))
 
 
+def test_truth_value_reads_runs_not_letters():
+    # bool() would fall back on __len__, and len() stops at sys.maxsize
+    assert bool(word(("a", 10**30))) is True
+    assert bool(Word()) is False
+
+
 def test_huge_exponent_powers():
     b = word(("b", 1))
     w = word(("a", N_HUGE)).conjugate(b)
